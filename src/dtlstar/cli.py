@@ -25,7 +25,7 @@ from .semantics import (
 )
 from .simformula import sim_formula
 from .simulation import simulates, simulates_in_model
-from .statespace import Caps, satisfy
+from .statespace import Caps, SpaceError, satisfy
 from .states import StateError, state_from_json
 from .syntax import ParseError, parse, to_text
 
@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ModelError, PreorderError, StateError, ProofError,
+    except (ParseError, ModelError, PreorderError, StateError, ProofError, SpaceError,
             FileNotFoundError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

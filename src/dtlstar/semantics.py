@@ -16,6 +16,13 @@ The tangled closure of a family S of sets is computed two independent ways:
 
 The two must agree on every finite model; the test suite checks this
 exhaustively on small spaces.
+
+Model search (``first_model``) finds the first model of the exhaustive
+stream that satisfies a formula without building the models before it: it
+evaluates each (preorder, map) skeleton once over all of its valuations at
+the same time, one bit per valuation (bit slicing).  ``enumerate_models``,
+which builds every model, is its reference: the test suite checks that a
+scan over it gives the same count, model and point on small pools.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import random
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .preorder import Preorder, enumerate_preorders, is_continuous_map, monotone_maps
-from .syntax import And, Formula, Hence, Neg, Next, Tangle, Var, parse
+from .syntax import And, Formula, Hence, Neg, Next, Tangle, Var, postorder
 from .util import bits
 
 
@@ -114,10 +121,6 @@ class DynModel:
 
     def is_valid(self, f: Formula) -> bool:
         return self.eval_mask(f) == self.space.full
-
-
-def eval_formula(model: DynModel, f: Formula) -> frozenset[str]:
-    return model.eval(f)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +306,161 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def parse_and_eval(model: DynModel, text: str) -> frozenset[str]:
-    return model.eval(parse(text))
+# ---------------------------------------------------------------------------
+# Bit-sliced model search.
+
+_VAR, _NEG, _AND, _NEXT, _HENCE, _TANGLE = range(6)
 
 
-def format_worlds(ws: Iterable[str]) -> list[str]:
-    return sorted(ws)
+def first_model(
+    formula: Formula, n_max: int, vars: Sequence[str], budget: int
+) -> tuple[int, DynModel | None, str | None]:
+    """The first model of ``enumerate_models(n_max, vars)`` with a point
+    satisfying ``formula``, among its first ``budget`` models.
+
+    Returns ``(examined, model, point)`` as a scan of that stream would: the
+    hit's 1-based position and its lowest satisfying world; with no hit, the
+    number of models drawn, which is ``budget + 1`` when the stream outlasts
+    the budget.  Only the hit is built as a ``DynModel``.
+
+    Each (preorder, map) skeleton is evaluated once for all of its
+    valuations: the extension at a world is an int with one bit per
+    valuation.  Valuation ``v`` is numbered in the order of
+    ``_all_valuations``, so bit ``(k-1-i)*n + w`` of ``v`` is the value of
+    ``vars[i]`` at world ``w`` (k variables, n worlds).  Every connective is
+    bitwise, so the fixpoints of ``G`` and of the tangle are reached for all
+    valuations at once, and the lowest set bit of the union over the worlds
+    is the first hit.
+    """
+    if n_max > EXHAUSTIVE_CAP:
+        raise ModelError(f"exhaustive enumeration capped at {EXHAUSTIVE_CAP} worlds (asked {n_max})")
+    prog = _compile(formula, vars)
+    # nodes without X or G below them depend on the preorder, not on the map
+    timed: list[bool] = []
+    for op, _, kids in prog:
+        timed.append(op in (_NEXT, _HENCE) or any(timed[c] for c in kids))
+    static = [i for i, t in enumerate(timed) if not t]
+    dynamic = [i for i, t in enumerate(timed) if t]
+    k = len(vars)
+    done = 0
+    for n in range(1, n_max + 1):
+        size = 1 << (n * k)
+        for space in enumerate_preorders(n):
+            down = [list(bits(d)) for d in space.down]
+            base: list | None = None
+            for fmap in monotone_maps(space):
+                left = budget - done
+                if left <= 0:
+                    return budget + 1, None, None
+                verdict = is_continuous_map(space, fmap)
+                if not verdict:
+                    raise ModelError(f"map is not continuous: witness {verdict.witness}")
+                if base is None:
+                    # a narrower slice only happens where the scan stops
+                    width = min(size, left)
+                    base = [None] * len(prog)
+                    _run_slices(prog, static, base, n, k, width, down, ())
+                vals = list(base)
+                fi = tuple(space.index[fmap[w]] for w in space.worlds)
+                _run_slices(prog, dynamic, vals, n, k, width, down, fi)
+                root = vals[-1]
+                hits = 0
+                for x in root:
+                    hits |= x
+                hits &= (1 << min(size, left)) - 1
+                if hits:
+                    v = (hits & -hits).bit_length() - 1
+                    point = next(w for w in range(n) if root[w] >> v & 1)
+                    val = {name: v >> ((k - 1 - i) * n) & space.full
+                           for i, name in enumerate(vars)}
+                    return done + v + 1, DynModel(space, fmap, val), space.worlds[point]
+                if size > left:
+                    return budget + 1, None, None
+                done += size
+    return done, None, None
+
+
+def _compile(formula: Formula, vars: Sequence[str]) -> list[tuple]:
+    """The distinct subformulas as ``(op, slot, children)``, children first
+    and the formula last.  ``children`` index earlier entries; ``slot`` is a
+    variable's position in ``vars`` (None when it is not there)."""
+    nodes = postorder(formula)
+    at = {g: i for i, g in enumerate(nodes)}
+    slot = {name: i for i, name in enumerate(vars)}
+    prog: list[tuple] = []
+    for g in nodes:
+        if isinstance(g, Var):
+            prog.append((_VAR, slot.get(g.name), ()))
+        elif isinstance(g, Neg):
+            prog.append((_NEG, None, (at[g.sub],)))
+        elif isinstance(g, And):
+            prog.append((_AND, None, (at[g.left], at[g.right])))
+        elif isinstance(g, Next):
+            prog.append((_NEXT, None, (at[g.sub],)))
+        elif isinstance(g, Hence):
+            prog.append((_HENCE, None, (at[g.sub],)))
+        elif isinstance(g, Tangle):
+            prog.append((_TANGLE, None, tuple(at[m] for m in g.members)))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return prog
+
+
+def _bit_plane(b: int, width: int) -> int:
+    """The valuation indices below ``width`` that have bit ``b`` set."""
+    h = 1 << b
+    span = -(-width // (2 * h)) * 2 * h
+    # all-ones over whole periods of 2h, divided by 2^h + 1, repeats h ones
+    return (((1 << span) - 1) // ((1 << h) + 1) << h) & ((1 << width) - 1)
+
+
+def _run_slices(
+    prog: list[tuple], order: Sequence[int], vals: list, n: int, k: int,
+    width: int, down: list[list[int]], fi: tuple[int, ...],
+) -> None:
+    """Evaluate the entries ``order`` of ``prog`` into ``vals``: one list of
+    per-world valuation slices each, ``width`` valuations wide."""
+    full = (1 << width) - 1
+    for i in order:
+        op, s, kids = prog[i]
+        if op == _VAR:
+            vals[i] = [0] * n if s is None else [
+                _bit_plane((k - 1 - s) * n + w, width) for w in range(n)]
+        elif op == _NEG:
+            vals[i] = [full ^ x for x in vals[kids[0]]]
+        elif op == _AND:
+            vals[i] = [x & y for x, y in zip(vals[kids[0]], vals[kids[1]])]
+        elif op == _NEXT:
+            sub = vals[kids[0]]
+            vals[i] = [sub[fi[x]] for x in range(n)]
+        elif op == _HENCE:
+            sub = vals[kids[0]]
+            out = list(sub)
+            changed = True
+            while changed:
+                changed = False
+                for x in range(n):
+                    nxt = sub[x] & out[fi[x]]
+                    if nxt != out[x]:
+                        out[x] = nxt
+                        changed = True
+            vals[i] = out
+        else:
+            sets = [vals[m] for m in kids]
+            e = [full] * n
+            changed = True
+            while changed:
+                changed = False
+                for x in range(n):
+                    keep = e[x]
+                    for a in sets:
+                        if not keep:
+                            break
+                        meet = 0
+                        for j in down[x]:
+                            meet |= e[j] & a[j]
+                        keep &= meet
+                    if keep != e[x]:
+                        e[x] = keep
+                        changed = True
+            vals[i] = e

@@ -32,6 +32,7 @@ from .syntax import (
     Var,
     negated,
     parse,
+    postorder,
     strip_double_neg,
     sub_pm,
     subformulas,
@@ -111,6 +112,57 @@ def phi_types(phi: Iterable[Formula]) -> list[TypeSet]:
             out.append(t)
     out.sort(key=type_key)
     return out
+
+
+def has_type_containing(f: Formula) -> bool:
+    """Whether some type over ``(f,)`` contains ``f``.
+
+    Same answer as ``any(t_contains(t, f) for t in phi_types((f,)))``, but
+    the search stops at the first such type.  A type picks a sign for every
+    variable, ``X`` and tangle subformula freely; ``&`` and ``~`` follow from
+    their children, and ``G s`` may hold only where ``s`` holds.  The search
+    backtracks over those atoms, evaluating ``f`` three-valued (None for
+    undecided) after each choice, and abandons a branch once ``f`` is false
+    or some chosen ``G s`` has a false body.
+    """
+    nodes = postorder(f)
+    at = {g: i for i, g in enumerate(nodes)}
+    atoms = [i for i, g in enumerate(nodes) if not isinstance(g, (Neg, And))]
+    hence = [(i, at[g.sub]) for i, g in enumerate(nodes) if isinstance(g, Hence)]
+    derived = [
+        (i, at[g.sub], None) if isinstance(g, Neg) else (i, at[g.left], at[g.right])
+        for i, g in enumerate(nodes) if isinstance(g, (Neg, And))
+    ]
+    val: list[bool | None] = [None] * len(nodes)
+
+    def verdict() -> bool | None:
+        for i, a, b in derived:
+            x = val[a]
+            if b is None:
+                val[i] = None if x is None else not x
+            else:
+                y = val[b]
+                val[i] = False if x is False or y is False else (
+                    True if x and y else None)
+        if val[-1] is False or any(val[h] and val[s] is False for h, s in hence):
+            return False
+        if val[-1] and all(not val[h] or val[s] for h, s in hence):
+            return True
+        return None
+
+    def search(depth: int) -> bool:
+        v = verdict()
+        if v is not None:
+            return v
+        i = atoms[depth]
+        for choice in (True, False):
+            val[i] = choice
+            if search(depth + 1):
+                return True
+        val[i] = None
+        return False
+
+    return search(0)
 
 
 class TypedPreorder:

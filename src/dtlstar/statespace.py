@@ -30,13 +30,16 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from .preorder import Preorder, enumerate_preorders
-from .semantics import DynModel, enumerate_models, model_to_json
+from .proofkit import check_proof
+from .semantics import DynModel, first_model, model_to_json
 from .simformula import sim_formula
 from .simulation import simulates
 from .states import (
     State,
     StateError,
     TypedPreorder,
+    _quotient,
+    has_type_containing,
     norm,
     phi_types,
     state_of_model_point,
@@ -55,7 +58,7 @@ from .quasimodel import (
     realizing_lasso,
     validate_quasimodel,
 )
-from .syntax import Formula, formula_length, to_text, variables
+from .syntax import Formula, Neg, formula_length, to_text, variables
 from .util import Verdict, bits, fail
 
 # simulation's refinement loop drives the successor search as well
@@ -79,31 +82,40 @@ class SpaceError(ValueError):
     pass
 
 
+def _check_oracle_caps(worlds: int, budget: int) -> None:
+    if worlds < 1:
+        raise SpaceError(f"oracle world cap must be at least 1 (got {worlds})")
+    if budget < 1:
+        raise SpaceError(f"oracle model budget must be at least 1 (got {budget})")
+
+
 # ---------------------------------------------------------------------------
 # Temporal successors.
 
-_SENSIBLE_MEMO: dict[tuple, bool] = {}
-
-
-def _sensible_types(t1, t2) -> bool:
+def _sensible_types(t1, t2, memo: dict[tuple, bool]) -> bool:
     key = (type_key(t1), type_key(t2))
-    hit = _SENSIBLE_MEMO.get(key)
+    hit = memo.get(key)
     if hit is None:
         hit = bool(is_sensible_pair(t1, t2))
-        _SENSIBLE_MEMO[key] = hit
+        memo[key] = hit
     return hit
 
 
-def temporal_successor(w: State, v: State) -> Verdict:
+def temporal_successor(w: State, v: State, memo: dict[tuple, bool] | None = None) -> Verdict:
     """Is there a serial continuous pairwise-sensible relation w -> v joining
     the roots?  Computed by refining the all-sensible-pairs relation; the
-    greatest continuous subrelation decides both conditions at once."""
+    greatest continuous subrelation decides both conditions at once.
+
+    ``memo`` caches sensibility by type pair; a caller checking many pairs
+    passes one dict for all of them, so its life is the caller's."""
+    if memo is None:
+        memo = {}
     nv = len(v.space.worlds)
     initial = []
     for t in w.types:
         m = 0
         for j in range(nv):
-            if _sensible_types(t, v.types[j]):
+            if _sensible_types(t, v.types[j], memo):
                 m |= 1 << j
         initial.append(m)
     rel = _refine(w.base, v.space.down, initial)
@@ -218,8 +230,6 @@ def enumerate_phi_states(
 
 
 def _shape_norm(p: Preorder) -> int:
-    from .states import _quotient
-
     cms, below = _quotient(p)
     k = len(cms)
     memo = [0] * k
@@ -288,11 +298,12 @@ def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) ->
                 space.substate_pairs.add((j, i))
             else:
                 space.notes.append(f"substate of state {i} missing (cap)")
+    memo: dict[tuple, bool] = {}
     for i, a in enumerate(states):
         for j, b in enumerate(states):
-            if not _sensible_types(a.root_type(), b.root_type()):
+            if not _sensible_types(a.root_type(), b.root_type(), memo):
                 continue
-            t = temporal_successor(a, b)
+            t = temporal_successor(a, b, memo)
             if t:
                 space.step_pairs.add((i, j))
                 if is_small_successor(a, b):
@@ -440,6 +451,7 @@ class ModelSearchOracle:
 
     def __init__(self, max_worlds: int = 3, budget: int = 50_000,
                  hint_models: Sequence[DynModel] = ()):
+        _check_oracle_caps(max_worlds, budget)
         self.max_worlds = max_worlds
         self.budget = budget
         self.hint_models = list(hint_models)
@@ -461,21 +473,14 @@ class ModelSearchOracle:
                 )
                 break
         if out is None:
-            examined = 0
-            vars_ = sorted(variables(f))
-            for model in enumerate_models(self.max_worlds, vars_):
-                examined += 1
-                if examined > self.budget:
-                    out = ConsistencyVerdict("unknown", None, f"budget {self.budget} exhausted")
-                    break
-                m = model.eval_mask(f)
-                if m:
-                    x = model.space.worlds[next(bits(m))]
-                    out = ConsistencyVerdict(
-                        "consistent", {"model": model_to_json(model), "point": x},
-                        f"model found after {examined}"
-                    )
-                    break
+            examined, model, x = first_model(f, self.max_worlds, sorted(variables(f)), self.budget)
+            if model is not None:
+                out = ConsistencyVerdict(
+                    "consistent", {"model": model_to_json(model), "point": x},
+                    f"model found after {examined}"
+                )
+            elif examined > self.budget:
+                out = ConsistencyVerdict("unknown", None, f"budget {self.budget} exhausted")
             else:
                 out = ConsistencyVerdict(
                     "unknown", None,
@@ -494,9 +499,6 @@ class ProofWitnessOracle:
         self.proofs = list(proofs)
 
     def judge(self, st: State) -> ConsistencyVerdict:
-        from .proofkit import check_proof
-        from .syntax import Neg
-
         goal = Neg(sim_formula(st))
         for proof in self.proofs:
             if proof.steps and proof.steps[-1].formula == goal and check_proof(proof):
@@ -764,6 +766,7 @@ def satisfy(
     """
     if oracle not in ("model-search", "trusting"):
         raise SpaceError(f"unknown oracle {oracle!r}")
+    _check_oracle_caps(caps.oracle_worlds, caps.oracle_budget)
     phi = (formula,)
     info: dict[str, Any] = {
         "caps": {
@@ -775,31 +778,20 @@ def satisfy(
         "oracle": oracle,
         "seed": seed,
     }
-    witness_types = [t for t in phi_types(phi) if t_contains(t, formula)]
-    if not witness_types:
+    if not has_type_containing(formula):
         info["reason"] = "no type contains the formula"
         return SatReport("no-witness-found", to_text(formula), info=info)
 
     if oracle == "trusting":
         return _satisfy_trusting(formula, caps, info)
 
-    vars_ = sorted(variables(formula))
-    examined = 0
-    hit: tuple[DynModel, str] | None = None
-    for model in enumerate_models(caps.oracle_worlds, vars_):
-        examined += 1
-        if examined > caps.oracle_budget:
-            break
-        m = model.eval_mask(formula)
-        if m:
-            hit = (model, model.space.worlds[next(bits(m))])
-            break
+    examined, model, x = first_model(
+        formula, caps.oracle_worlds, sorted(variables(formula)), caps.oracle_budget)
     info["models_examined"] = examined
-    if hit is None:
+    if model is None:
         info["reason"] = "no model within caps"
         return SatReport("no-witness-found", to_text(formula), info=info)
 
-    model, x = hit
     w_star = state_of_model_point(model, phi, x)
     orbit_key = w_star.canonical_key()
     reduced = reduce_state(w_star, phi)
@@ -813,8 +805,9 @@ def satisfy(
     info["fragment_notes"] = notes
     # independent re-verification of every edge and of node consistency
     verified_edges = []
+    sensible: dict[tuple, bool] = {}
     for (a, b) in edges:
-        if temporal_successor(nodes[a], nodes[b]):
+        if temporal_successor(nodes[a], nodes[b], sensible):
             verified_edges.append((a, b))
         else:
             notes.append(f"edge ({a},{b}) failed re-verification")

@@ -170,16 +170,6 @@ def conj(formulas: Iterable[Formula]) -> Formula:
     return acc
 
 
-def disj(formulas: Iterable[Formula]) -> Formula:
-    ordered = sorted_formulas(set(formulas))
-    if not ordered:
-        raise ValueError("disjunction of an empty formula set is undefined")
-    acc = ordered[0]
-    for f in ordered[1:]:
-        acc = or_(acc, f)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Subformulas, substitution, and the henceforth-elimination transform.
 
@@ -209,6 +199,30 @@ def subformulas(obj: Formula | Iterable[Formula]) -> frozenset[Formula]:
         elif isinstance(f, Tangle):
             stack.extend(f.members)
     return frozenset(out)
+
+
+def postorder(f: Formula) -> list[Formula]:
+    """Distinct subformulas of ``f``, each listed after all of its own."""
+    out: list[Formula] = []
+    done: set[Formula] = set()
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if g in done:
+            continue
+        if expanded:
+            done.add(g)
+            out.append(g)
+            continue
+        stack.append((g, True))
+        if isinstance(g, (Neg, Next, Hence)):
+            stack.append((g.sub, False))
+        elif isinstance(g, And):
+            stack.append((g.right, False))
+            stack.append((g.left, False))
+        elif isinstance(g, Tangle):
+            stack.extend((m, False) for m in reversed(g.members))
+    return out
 
 
 def formula_length(obj: Formula | Iterable[Formula]) -> int:

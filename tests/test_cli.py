@@ -108,6 +108,13 @@ class TestCommands:
         assert code == 1
         assert json.loads(out)["verdict"] == "no-witness-found"
 
+    @pytest.mark.parametrize("cap", [["--budget", "-5"], ["--budget", "0"],
+                                     ["--cap-worlds", "0"]],
+                             ids=["budget-5", "budget0", "cap-worlds0"])
+    def test_satisfy_refuses_invalid_caps(self, capsys, cap):
+        code, out, err = run(capsys, "satisfy", "p & ~q", *cap)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_check_proof(self, capsys):
         corpus = sorted((pathlib.Path(__file__).parent / "data" / "proofs").glob("*.json"))
         code, out, _ = run(capsys, "check-proof", str(corpus[0]))

@@ -9,6 +9,7 @@ from dtlstar.semantics import (
     ModelError,
     enumerate_models,
     enumerate_static_models,
+    first_model,
     model_from_json,
     model_to_json,
     random_model,
@@ -17,7 +18,7 @@ from dtlstar.semantics import (
     tangled_gfp,
     tangled_gfp_mask,
 )
-from dtlstar.syntax import Neg, Next, Tangle, Var, parse
+from dtlstar.syntax import And, Hence, Neg, Next, Tangle, Var, parse
 from dtlstar.util import bits
 
 
@@ -199,3 +200,110 @@ class TestModelJson:
         data = {"worlds": ["a"], "order": [], "f": {}, "val": {}}
         with pytest.raises(ModelError):
             model_from_json(data)
+
+
+# Shaped like the benchmark's slow satisfy requests: the first five need 2-3
+# worlds, the rest have no model of at most 3 worlds although a type
+# contains them.
+SEARCH_TEMPLATES = (
+    "~p & ~q & <>{p, q} & []~(p & q)",
+    "~p & <>(p & ~<>q) & <>(q & ~<>p)",
+    "~p & ~q & <>p & <>q & []~(p & q) & ~<>{p, q}",
+    "p & X ~p & X X ~p & X X X p & G(q | ~q)",
+    "p & ~q & X q & X X (~p & ~q) & G(p | q | X p)",
+    "p & G(p -> X p) & F ~p & G(q | ~q)",
+    "(F(p & q) & G ~(p & q)) | (<>p & []~p)",
+    "<>{p, q} & []~q",
+    "(p & []~p) | (q & G ~q & F q)",
+    "<>(p & q) & [](~p | ~q)",
+    "~p & X p & G(~p -> X ~p) & (q | ~q)",
+)
+
+
+def random_formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return Var(rng.choice(names))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Neg(random_formula(rng, names, depth - 1))
+    if kind == 1:
+        return And(random_formula(rng, names, depth - 1), random_formula(rng, names, depth - 1))
+    if kind == 2:
+        return Next(random_formula(rng, names, depth - 1))
+    if kind == 3:
+        return Hence(random_formula(rng, names, depth - 1))
+    return Tangle([random_formula(rng, names, depth - 1) for _ in range(rng.randint(0, 2))])
+
+
+def scan(f, pool, budget):
+    """The per-model scan that ``first_model`` replaces."""
+    examined = 0
+    for model in pool:
+        examined += 1
+        if examined > budget:
+            break
+        m = model.eval_mask(f)
+        if m:
+            return examined, model, model.space.worlds[next(bits(m))]
+    return examined, None, None
+
+
+def skeleton_ends(pool):
+    """1-based positions of the last model of each (preorder, map) skeleton."""
+    ends = []
+    for i, model in enumerate(pool):
+        if i + 1 == len(pool) or (pool[i + 1].space, pool[i + 1].f) != (model.space, model.f):
+            ends.append(i + 1)
+    return ends
+
+
+class TestFirstModel:
+    """``first_model`` against a scan over ``enumerate_models``, its slow twin."""
+
+    POOLS = [(n, ("p",)) for n in (1, 2, 3)] + [(n, ("p", "q")) for n in (1, 2, 3)] \
+        + [(n, ("p", "q", "r")) for n in (1, 2)]
+
+    @pytest.mark.parametrize("n_max,names", POOLS,
+                             ids=[f"{n}w-{''.join(names)}" for n, names in POOLS])
+    def test_agrees_with_scan(self, n_max, names):
+        pool = list(enumerate_models(n_max, names))
+        ends = skeleton_ends(pool)
+        rng = random.Random(f"{n_max}/{names}")
+        # <>{p, ~p} first holds on a two-world cluster, at both of its worlds
+        formulas = [parse(t) for t in SEARCH_TEMPLATES + ("<>{p, ~p}",)]
+        formulas += [random_formula(rng, names, rng.randint(1, 4))
+                     for _ in range(8 if n_max == 3 else 30)]
+        for f in formulas:
+            _, hit, _ = scan(f, pool, len(pool))
+            hit_at = pool.index(hit) + 1 if hit is not None else None
+            budgets = {1, len(pool), len(pool) + 1}
+            for n in range(1, n_max + 1):
+                size = 2 ** (n * len(names))
+                budgets |= {size - 1, size, size + 1}
+            # both sides of every skeleton boundary, or, in the 3-world pools,
+            # of the first and last ones and of those around the hit
+            near = ends if len(ends) <= 20 else ends[:3] + ends[-3:] + [
+                e for e in ends if hit_at is not None and abs(e - hit_at) <= 2 ** (n_max * len(names))]
+            for e in near:
+                budgets |= {e - 1, e, e + 1}
+            if hit_at is not None:
+                budgets |= {hit_at - 1, hit_at, hit_at + 1}
+            for budget in sorted(b for b in budgets if b >= 1):
+                want = scan(f, pool, budget)
+                got = first_model(f, n_max, names, budget)
+                assert (got[0], got[1] and model_to_json(got[1]), got[2]) == \
+                    (want[0], want[1] and model_to_json(want[1]), want[2]), (str(f), budget)
+            for model in pool:
+                model.clear_cache()
+
+    def test_templates_need_the_pool_they_are_meant_for(self):
+        names = ("p", "q")
+        for text in SEARCH_TEMPLATES[:5]:
+            _, model, _ = first_model(parse(text), 3, names, 50_000)
+            assert model is not None and len(model.space.worlds) > 1
+        for text in SEARCH_TEMPLATES[5:]:
+            assert first_model(parse(text), 3, names, 50_000) == (9076, None, None)
+
+    def test_cap_enforced(self):
+        with pytest.raises(ModelError):
+            first_model(Var("p"), 6, ["p"], 10)

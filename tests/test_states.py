@@ -10,6 +10,7 @@ from dtlstar.states import (
     StateError,
     TypedPreorder,
     distinctly_typed,
+    has_type_containing,
     is_phi_type,
     is_weak_type,
     norm,
@@ -27,7 +28,7 @@ from dtlstar.states import (
     typed_preorder_of_model,
     validate_typing,
 )
-from dtlstar.syntax import Neg, Var, parse, subformulas, sub_pm, variables
+from dtlstar.syntax import And, Hence, Neg, Next, Tangle, Var, parse, subformulas, sub_pm, variables
 
 p, q = Var("p"), Var("q")
 
@@ -67,6 +68,43 @@ class TestWeakTypes:
         for t in out:
             if t_contains(t, parse("p & q")):
                 assert t_contains(t, p) and t_contains(t, q)
+
+
+def formulas_of_size(size, atoms):
+    """Every formula with exactly ``size`` constructors over ``atoms``."""
+    if size == 1:
+        yield from atoms
+        return
+    for g in formulas_of_size(size - 1, atoms):
+        yield from (Neg(g), Next(g), Hence(g), Tangle((g,)))
+    for left in range(1, size - 1):
+        for a in formulas_of_size(left, atoms):
+            for b in formulas_of_size(size - 1 - left, atoms):
+                yield from (And(a, b), Tangle((a, b)))
+
+
+class TestHasTypeContaining:
+    """The early-stopping search against the full type list, its slow twin."""
+
+    def test_agrees_with_phi_types_exhaustively(self):
+        count = 0
+        for size in range(1, 6):
+            for f in formulas_of_size(size, (p, q)):
+                want = any(t_contains(t, f) for t in phi_types((f,)))
+                assert has_type_containing(f) == want, str(f)
+                count += 1
+        assert count > 1000
+
+    @pytest.mark.parametrize("text", ["G p & ~p", "~(p & q) & p & q", "<>{p,q} & ~<>{p,q}",
+                                      "p & ~~~p", "G(p & q) & X r & ~q"])
+    def test_contradictions(self, text):
+        f = parse(text)
+        assert not has_type_containing(f)
+        assert not any(t_contains(t, f) for t in phi_types((f,)))
+
+    @pytest.mark.parametrize("text", ["G p & ~X p", "<>{p, q} & []~q", "~G p & p & G(p -> X p)"])
+    def test_propositionally_consistent(self, text):
+        assert has_type_containing(parse(text))
 
 
 class TestValidateTyping:

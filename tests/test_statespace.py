@@ -246,6 +246,13 @@ class TestOracles:
         v = oracle.judge(st)
         assert v.status == "unknown"
 
+    @pytest.mark.parametrize("worlds,budget", [(0, 10), (2, 0), (2, -5)])
+    def test_model_search_refuses_invalid_caps(self, worlds, budget):
+        with pytest.raises(SpaceError):
+            ModelSearchOracle(max_worlds=worlds, budget=budget)
+        with pytest.raises(SpaceError):
+            satisfy(p, Caps(oracle_worlds=worlds, oracle_budget=budget))
+
     def test_proof_witness_oracle_unknown_without_proofs(self):
         v = ProofWitnessOracle([]).judge(single([p]))
         assert v.status == "unknown"
