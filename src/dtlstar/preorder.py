@@ -10,6 +10,7 @@ result is reported in sorted id order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -28,7 +29,7 @@ class Preorder:
     authors may write Hasse-style edges.
     """
 
-    __slots__ = ("worlds", "index", "down", "up", "full", "_cluster_masks", "_canon", "_auts")
+    __slots__ = ("worlds", "index", "down", "up", "full", "_cluster_masks", "_auts")
 
     def __init__(self, worlds: Iterable[str], pairs: Iterable[tuple[str, str]] = ()):
         self.worlds: tuple[str, ...] = tuple(sorted(set(worlds)))
@@ -55,7 +56,6 @@ class Preorder:
         self.up: tuple[int, ...] = tuple(up)
         self.full: int = (1 << n) - 1
         self._cluster_masks: tuple[int, ...] | None = None
-        self._canon: tuple[tuple[int, ...], int] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
@@ -134,19 +134,6 @@ class Preorder:
         return self.ids_of(self.cluster_mask(self.index[w]))
 
     # -- isomorphism --------------------------------------------------------
-
-    def canonical_form(self) -> tuple[tuple[int, ...], int]:
-        """Lexicographically least down-vector over all relabelings."""
-        if self._canon is None:
-            n = len(self.worlds)
-            best: tuple[int, ...] | None = None
-            for perm in itertools.permutations(range(n)):
-                cand = _permute_down(self.down, perm)
-                if best is None or cand < best:
-                    best = cand
-            assert best is not None
-            self._canon = (best, n)
-        return self._canon
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All permutations of world indices preserving the order."""
@@ -273,16 +260,16 @@ def enumerate_preorders(n: int, up_to_iso: bool = True) -> Iterator[Preorder]:
         for down in _down_vectors(n):
             yield _from_down(names, down)
         return
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    perms = list(itertools.permutations(range(n)))
-    for down in _down_vectors(n):
-        canon = min(_permute_down(down, perm) for perm in perms)
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(canon)
-    for down in sorted(reps):
+    for down in _iso_representatives(n):
         yield _from_down(names, down)
+
+
+@functools.lru_cache(maxsize=None)
+def _iso_representatives(n: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted least down-vectors of the isomorphism classes on n points."""
+    perms = list(itertools.permutations(range(n)))
+    return tuple(sorted({min(_permute_down(down, perm) for perm in perms)
+                         for down in _down_vectors(n)}))
 
 
 def _from_down(names: tuple[str, ...], down: tuple[int, ...]) -> Preorder:

@@ -7,7 +7,11 @@ continuous, pairwise-sensible relation over their underlying worlds relating
 the roots).  A successor is *small* when its norm stays within the source's
 norm plus the number of tangle subformulas in play; efficient paths use only
 small steps and forbid any earlier state that the path later simulates,
-which keeps the search space finite.
+which keeps the search space finite.  One depth-first walker serves
+efficient paths, reachability and the eventuality check of canonical
+structures; ``canonical_structure`` judges each state once and walks from
+every eventuality state over one set of successor lists and one
+simulation memo.
 
 Consistency of a state means its simulation formula cannot be refuted.
 That is undecidable, so it is oracle-mediated here: a model-search oracle
@@ -25,9 +29,10 @@ lasso); exhausted caps yield "no witness found", never "unsatisfiable".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Sequence
 
 from .preorder import Preorder, enumerate_preorders
 from .proofkit import check_proof
@@ -275,29 +280,39 @@ def _type_assignments(shape: Preorder, clusters: Sequence[int], types: Sequence)
     yield from extend(0)
 
 
+def _substate_pairs(states: Sequence[State]) -> tuple[set[tuple[int, int]], list[int]]:
+    """(substate, superstate) index pairs among the states, and the index of
+    a state once for each of its substates that is not among them."""
+    key_index = {st.canonical_key(): i for i, st in enumerate(states)}
+    pairs: set[tuple[int, int]] = set()
+    missing: list[int] = []
+    for i, st in enumerate(states):
+        for sub in substates(st):
+            j = key_index.get(sub.canonical_key())
+            if j is None:
+                missing.append(i)
+            else:
+                pairs.add((j, i))
+    return pairs, missing
+
+
 def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) -> StateSpace:
     """Materialize the state space with its substate and successor relations."""
     phi = tuple(phi)
     states, complete, notes = enumerate_phi_states(phi, k, caps)
+    sub_pairs, missing = _substate_pairs(states)
+    notes.extend(f"substate of state {i} missing (cap)" for i in missing)
     space = StateSpace(
         phi=phi,
         k=k,
         norm_bound=max(1, (k + 1) * formula_length(phi)),
         states=states,
-        substate_pairs=set(),
+        substate_pairs=sub_pairs,
         step_pairs=set(),
         small_pairs=set(),
         complete=complete,
         notes=notes,
     )
-    key_index = {st.canonical_key(): i for i, st in enumerate(states)}
-    for i, st in enumerate(states):
-        for sub in substates(st):
-            j = key_index.get(sub.canonical_key())
-            if j is not None:
-                space.substate_pairs.add((j, i))
-            else:
-                space.notes.append(f"substate of state {i} missing (cap)")
     memo: dict[tuple, bool] = {}
     for i, a in enumerate(states):
         for j, b in enumerate(states):
@@ -362,18 +377,65 @@ class EfficientPaths:
     truncated: bool
 
 
-class _SimMemo:
-    def __init__(self, states: Sequence[State]):
-        self.states = states
-        self.memo: dict[tuple[int, int], bool] = {}
+def _start_index(start: State | int, space: StateSpace) -> int:
+    i0 = start if isinstance(start, int) else space.index_of(start)
+    if i0 is None:
+        raise SpaceError("start state not in the space")
+    return i0
 
-    def __call__(self, i: int, j: int) -> bool:
-        key = (i, j)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = bool(simulates(self.states[i], self.states[j]))
-            self.memo[key] = hit
-        return hit
+
+def _small_successors(space: StateSpace, keep: Container[int]) -> dict[int, list[int]]:
+    """Small-step successor lists in index order, between kept states only."""
+    succ: dict[int, list[int]] = {}
+    for a, b in sorted(space.small_pairs):
+        if a in keep and b in keep:
+            succ.setdefault(a, []).append(b)
+    return succ
+
+
+def _sim_memo(states: Sequence[State]) -> Callable[[int, int], bool]:
+    """Does state i simulate state j, each pair decided once."""
+    return functools.cache(lambda i, j: bool(simulates(states[i], states[j])))
+
+
+def _walk(i0: int, succ: dict[int, list[int]], sim: Callable[[int, int], bool], steps: int,
+          sink: EfficientPaths | None = None) -> tuple[set[int], bool]:
+    """Depth-first search of the efficient paths from ``i0`` along ``succ``.
+
+    A step to a state that an earlier path state simulates is pruned, with
+    the first such state as the prune's witness.  Each visited path costs
+    one of ``steps``; when they run out the walk stops and reports
+    truncation.  Returns (visited states, truncated); a ``sink`` also
+    receives every maximal path and every prune.
+    """
+    visited: set[int] = set()
+    budget = steps
+    truncated = False
+
+    def visit(path: list[int]) -> None:
+        nonlocal budget, truncated
+        if budget <= 0:
+            truncated = True
+            return
+        budget -= 1
+        visited.add(path[-1])
+        extended = False
+        for nxt in succ.get(path[-1], ()):
+            for m1, old in enumerate(path):
+                if sim(old, nxt):
+                    if sink is not None:
+                        sink.prunes.append((tuple(path) + (nxt,), m1, len(path)))
+                    break
+            else:
+                extended = True
+                path.append(nxt)
+                visit(path)
+                path.pop()
+        if not extended and sink is not None:
+            sink.paths.append(tuple(path))
+
+    visit([i0])
+    return visited, truncated
 
 
 def efficient_paths(
@@ -383,40 +445,10 @@ def efficient_paths(
     simulating a later one.  Any repeat is already inefficient, so only
     finitely many such paths exist; the step cap is a guard that flags
     truncation instead of hanging."""
-    i0 = start if isinstance(start, int) else space.index_of(start)
-    if i0 is None:
-        raise SpaceError("start state not in the space")
-    succ: dict[int, list[int]] = {}
-    for a, b in sorted(space.small_pairs):
-        succ.setdefault(a, []).append(b)
-    sim = _SimMemo(space.states)
+    i0 = _start_index(start, space)
     result = EfficientPaths([], [], False)
-    budget = caps.path_steps
-
-    def walk(path: list[int]) -> None:
-        nonlocal budget
-        if budget <= 0:
-            result.truncated = True
-            return
-        budget -= 1
-        extended = False
-        for nxt in succ.get(path[-1], []):
-            bad = None
-            for m1, old in enumerate(path):
-                if sim(old, nxt):
-                    bad = (tuple(path) + (nxt,), m1, len(path))
-                    break
-            if bad is not None:
-                result.prunes.append(bad)
-                continue
-            extended = True
-            path.append(nxt)
-            walk(path)
-            path.pop()
-        if not extended:
-            result.paths.append(tuple(path))
-
-    walk([i0])
+    succ = _small_successors(space, range(len(space.states)))
+    _, result.truncated = _walk(i0, succ, _sim_memo(space.states), caps.path_steps, result)
     return result
 
 
@@ -533,48 +565,50 @@ def reachable(
     Unknown states are excluded by default (and recorded); with policy
     "include" they are treated as consistent.
     """
-    i0 = start if isinstance(start, int) else space.index_of(start)
-    if i0 is None:
-        raise SpaceError("start state not in the space")
+    i0 = _start_index(start, space)
     verdicts = [oracle.judge(st) for st in space.states]
-
-    def allowed(i: int) -> bool:
-        if verdicts[i].consistent:
-            return True
-        return unknown_policy == "include" and verdicts[i].status == "unknown"
-
+    include = unknown_policy == "include"
+    allowed = {i for i, v in enumerate(verdicts)
+               if v.consistent or include and v.status == "unknown"}
     excluded = {i for i, v in enumerate(verdicts) if v.status == "unknown"}
-    if not allowed(i0):
+    if i0 not in allowed:
         return ReachResult(set(), excluded, False)
-    succ: dict[int, list[int]] = {}
-    for a, b in sorted(space.small_pairs):
-        if allowed(a) and allowed(b):
-            succ.setdefault(a, []).append(b)
-    sim = _SimMemo(space.states)
-    out: set[int] = set()
-    truncated = False
-    budget = caps.path_steps
-
-    def walk(path: list[int]) -> None:
-        nonlocal budget, truncated
-        if budget <= 0:
-            truncated = True
-            return
-        budget -= 1
-        out.add(path[-1])
-        for nxt in succ.get(path[-1], []):
-            if any(sim(old, nxt) for old in path):
-                continue
-            path.append(nxt)
-            walk(path)
-            path.pop()
-
-    walk([i0])
+    out, truncated = _walk(
+        i0, _small_successors(space, allowed), _sim_memo(space.states), caps.path_steps)
     return ReachResult(out, excluded, truncated)
 
 
 # ---------------------------------------------------------------------------
 # Canonical structures.
+
+def _named_structure(
+    states: Sequence[State], members: Iterable[int], sub_pairs: Iterable[tuple[int, int]],
+    step_pairs: Iterable[tuple[int, int]], what: str,
+) -> tuple[dict[str, int], Quasimodel | None, Verdict]:
+    """The member states named s0, s1, ... in order, typed by their root
+    types, ordered by the substate pairs and stepped by the step pairs
+    among them, as a validated quasimodel.
+
+    Returns (names, structure, verdict) with ``names`` mapping each name to
+    its state index; a structure that cannot be built is reported as
+    ``"<what> not well formed: ..."``.
+    """
+    names = {f"s{pos}": i for pos, i in enumerate(members)}
+    rev = {i: nm for nm, i in names.items()}
+    structure = None
+    try:
+        structure = Quasimodel(
+            TypedPreorder(
+                Preorder(names, [(rev[a], rev[b]) for a, b in sub_pairs
+                                 if a in rev and b in rev]),
+                {nm: states[i].root_type() for nm, i in names.items()},
+            ),
+            [(rev[a], rev[b]) for a, b in step_pairs if a in rev and b in rev],
+        )
+        return names, structure, validate_quasimodel(structure)
+    except (StateError, ValueError) as e:
+        return names, structure, fail(f"{what} not well formed: {e}")
+
 
 @dataclass
 class CanonicalResult:
@@ -616,13 +650,16 @@ def canonical_structure(
         if sup in cons_set and sub not in cons_set:
             openness.append({"state": sup, "substate": sub, "kind": kind(sub)})
 
+    succ = _small_successors(space, cons_set)
+    sim = _sim_memo(space.states)
+    small_sources = {a for a, _ in space.small_pairs}
     seriality: list[dict] = []
     for i in cons:
-        if not any((i, j) in space.small_pairs and j in cons_set for j in range(len(space.states))):
-            gap = any((i, j) in space.small_pairs for j in range(len(space.states)))
+        if i not in succ:
             seriality.append({
                 "state": i,
-                "kind": "oracle-gap" if gap or not space.complete else "violation",
+                "kind": "oracle-gap" if i in small_sources or not space.complete
+                else "violation",
             })
 
     eventuality: list[dict] = []
@@ -630,7 +667,7 @@ def canonical_structure(
         evs = eventualities_of(space.states[i].root_type())
         if not evs:
             continue
-        rho = reachable(i, space, oracle, caps).reachable
+        rho, _ = _walk(i, succ, sim, caps.path_steps)
         for ev, target in evs:
             if not any(t_contains(space.states[j].root_type(), target) for j in rho):
                 eventuality.append({
@@ -643,27 +680,8 @@ def canonical_structure(
     qverdict = None
     names: dict[str, int] = {}
     if cons:
-        names = {f"s{pos}": i for pos, i in enumerate(cons)}
-        rev = {i: nm for nm, i in names.items()}
-        worlds = sorted(names)
-        order = [
-            (rev[sub], rev[sup])
-            for (sub, sup) in space.substate_pairs
-            if sub in cons_set and sup in cons_set
-        ]
-        types = {rev[i]: space.states[i].root_type() for i in cons}
-        step = [
-            (rev[a], rev[b])
-            for (a, b) in space.step_pairs
-            if a in cons_set and b in cons_set
-        ]
-        try:
-            structure = Quasimodel(
-                TypedPreorder(Preorder(worlds, order), types), step
-            )
-            qverdict = validate_quasimodel(structure)
-        except (StateError, ValueError) as e:
-            qverdict = fail(f"structure not well formed: {e}")
+        names, structure, qverdict = _named_structure(
+            space.states, cons, space.substate_pairs, space.step_pairs, "structure")
     regular = (
         not openness
         and not seriality
@@ -826,18 +844,10 @@ def satisfy(
         else:  # pragma: no cover - construction guarantees a point
             consistency.append(ConsistencyVerdict("unknown", None, "no point in witness model"))
 
-    names = {i: f"s{i}" for i in range(len(nodes))}
-    key_index = {st.canonical_key(): i for i, st in enumerate(nodes)}
-    sub_pairs = set()
-    for i, st in enumerate(nodes):
-        for sub in substates(st):
-            j = key_index.get(sub.canonical_key())
-            if j is not None:
-                sub_pairs.add((j, i))
+    sub_pairs, missing = _substate_pairs(nodes)
     openness = [
         {"state": i, "substate": None, "kind": "oracle-gap"}
-        for i, st in enumerate(nodes)
-        if any(sub.canonical_key() not in key_index for sub in substates(st))
+        for i in dict.fromkeys(missing)
     ]
     seriality = [
         {"state": i, "kind": "oracle-gap"}
@@ -845,38 +855,28 @@ def satisfy(
         if not any(a == i for (a, b) in small_edges)
     ]
 
-    structure = None
-    qverdict: Verdict | None = None
+    names, structure, qverdict = _named_structure(
+        nodes, range(len(nodes)), sub_pairs, verified_edges, "fragment")
+    label = list(names)
     lasso_json = None
     # the lasso starts at the orbit node carved from the satisfying point;
     # its root type matches the reported witness state's root type
-    start_idx = key_index.get(orbit_key)
-    try:
-        structure = Quasimodel(
-            TypedPreorder(
-                Preorder([names[i] for i in range(len(nodes))],
-                         [(names[a], names[b]) for (a, b) in sub_pairs]),
-                {names[i]: nodes[i].root_type() for i in range(len(nodes))},
-            ),
-            [(names[a], names[b]) for (a, b) in verified_edges],
-        )
-        qverdict = validate_quasimodel(structure)
-        if qverdict and start_idx is not None:
-            lasso = realizing_lasso(structure, names[start_idx])
+    start_idx = next((i for i, st in enumerate(nodes) if st.canonical_key() == orbit_key), None)
+    if qverdict and start_idx is not None:
+        try:
+            lasso = realizing_lasso(structure, label[start_idx])
             lasso_json = {"worlds": list(lasso.worlds), "loop": lasso.loop}
-    except (StateError, ValueError) as e:
-        qverdict = fail(f"fragment not well formed: {e}")
+        except (StateError, ValueError) as e:
+            qverdict = fail(f"fragment not well formed: {e}")
 
     checks = {
         "edge_count": len(verified_edges),
         "small_edge_count": len(small_edges),
         "openness_issues": openness,
         "seriality_issues": seriality,
-        "quasimodel": None if qverdict is None else {
-            "ok": bool(qverdict), "reason": qverdict.reason
-        },
+        "quasimodel": {"ok": bool(qverdict), "reason": qverdict.reason},
         "consistency": [
-            {"state": names[i], "status": v.status, "note": v.note}
+            {"state": label[i], "status": v.status, "note": v.note}
             for i, v in enumerate(consistency)
         ],
     }
@@ -888,11 +888,9 @@ def satisfy(
         checks=checks,
         info=info,
     )
-    if structure is not None and qverdict:
+    if qverdict:
         report.quasimodel = quasimodel_to_json(structure)
-        report.quasimodel_states = {
-            names[i]: state_to_json(st) for i, st in enumerate(nodes)
-        }
+        report.quasimodel_states = {nm: state_to_json(nodes[i]) for nm, i in names.items()}
         report.lasso = lasso_json
     return report
 

@@ -96,6 +96,14 @@ class TestCommands:
                            "--vars", "p", "--count-only")
         assert code == 0 and json.loads(out)["count"] == 2
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_enumerate_refuses_limit_below_one(self, capsys, limit):
+        code, out, err = run(capsys, "enumerate", "--max-worlds", "1",
+                             "--vars", "p", "--limit", limit)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_satisfy_roundtrip(self, capsys):
         code, out, _ = run(capsys, "satisfy", "F p & ~p")
         assert code == 0

@@ -1,13 +1,15 @@
+import functools
 import random
 
 import pytest
 
 from dtlstar.preorder import Preorder
-from dtlstar.quasimodel import is_sensible_pair, validate_quasimodel
+from dtlstar.quasimodel import eventualities_of, is_sensible_pair, validate_quasimodel
 from dtlstar.semantics import DynModel, model_from_json, random_model
 from dtlstar.simulation import simulates
 from dtlstar.statespace import (
     Caps,
+    ConsistencyVerdict,
     ModelSearchOracle,
     ProofWitnessOracle,
     SpaceError,
@@ -335,6 +337,105 @@ class TestCanonicalStructure:
         result = canonical_structure(phi, space, TrustingOracle())
         # the full space realizes every eventuality within reach
         assert not result.eventuality, result.eventuality
+
+
+WALK_SIGNATURES = ["", "p", "X p", "F p", "G p & q"]
+
+
+@functools.lru_cache(maxsize=None)
+def walk_space(signature):
+    phi = (parse(signature),) if signature else ()
+    return phi, enumerate_states(phi, 0, Caps(max_worlds=2))
+
+
+def slow_eventuality(space, oracle, caps):
+    """The eventuality check as standalone reachability calls, one per state."""
+    out = []
+    for i, st in enumerate(space.states):
+        evs = eventualities_of(st.root_type())
+        if not evs or not oracle.judge(st).consistent:
+            continue
+        rho = reachable(i, space, oracle, caps).reachable
+        for ev, target in evs:
+            if not any(t_contains(space.states[j].root_type(), target) for j in rho):
+                kind = "violation" if space.complete else "oracle-gap"
+                out.append({"state": i, "eventuality": to_text(ev), "kind": kind})
+    return out
+
+
+class UnknownWherePHolds:
+    name = "p-unknown"
+
+    def judge(self, st):
+        if t_contains(st.root_type(), p):
+            return ConsistencyVerdict("unknown", None, "p at the root")
+        return ConsistencyVerdict("consistent", None, "ok")
+
+
+class TestWalkerTwins:
+    """efficient_paths, reachable and the eventuality check share one walk;
+    each is held to what the others report over every start."""
+
+    @pytest.mark.parametrize("signature", WALK_SIGNATURES)
+    def test_reachable_is_the_states_on_efficient_paths(self, signature):
+        _, space = walk_space(signature)
+        caps = Caps(path_steps=2000)
+        for i in range(len(space.states)):
+            paths = efficient_paths(i, space, caps)
+            reach = reachable(i, space, TrustingOracle(), caps)
+            on_paths = {j for path in paths.paths for j in path}
+            assert reach.truncated == paths.truncated
+            if paths.truncated:
+                assert on_paths <= reach.reachable
+            else:
+                assert reach.reachable == on_paths
+
+    @pytest.mark.parametrize("signature", WALK_SIGNATURES)
+    def test_truncation_agrees_at_every_small_step_cap(self, signature):
+        _, space = walk_space(signature)
+        for steps in range(1, 31):
+            caps = Caps(path_steps=steps)
+            for i in range(len(space.states)):
+                assert (efficient_paths(i, space, caps).truncated
+                        == reachable(i, space, TrustingOracle(), caps).truncated)
+
+    # the empty type has no simulation formula for the model search to use
+    @pytest.mark.parametrize("oracle,signature", [
+        (oracle, signature) for oracle in ("trusting", "model-search", "p-unknown")
+        for signature in WALK_SIGNATURES if signature or oracle != "model-search"])
+    def test_eventuality_check_matches_standalone_reachability(self, oracle, signature):
+        phi, space = walk_space(signature)
+        caps = Caps(path_steps=2000)
+        make = {"trusting": TrustingOracle,
+                "model-search": lambda: ModelSearchOracle(max_worlds=1, budget=50),
+                "p-unknown": UnknownWherePHolds}[oracle]
+        result = canonical_structure(phi, space, make(), caps)
+        assert result.eventuality == slow_eventuality(space, make(), caps)
+
+    @pytest.mark.parametrize("make", [lambda: ModelSearchOracle(max_worlds=1, budget=50),
+                                      UnknownWherePHolds], ids=["model-search", "p-unknown"])
+    def test_partial_oracles_leave_states_unknown(self, make):
+        # keeps the partial-oracle cases above away from the all-consistent one
+        _, space = walk_space("F p")
+        oracle = make()
+        statuses = {oracle.judge(st).status for st in space.states}
+        assert statuses == {"consistent", "unknown"}
+
+    def test_unknown_states_leave_eventualities_unrealized(self):
+        # F p states that lack p reach p only through the unknown states
+        phi, space = walk_space("F p")
+        result = canonical_structure(phi, space, UnknownWherePHolds(), Caps(path_steps=2000))
+        assert result.eventuality
+
+    @pytest.mark.parametrize("signature", WALK_SIGNATURES)
+    def test_prune_witness_is_the_first_simulating_state(self, signature):
+        _, space = walk_space(signature)
+        sim = functools.cache(lambda a, b: bool(simulates(space.states[a], space.states[b])))
+        for i in range(len(space.states)):
+            for path, m1, m2 in efficient_paths(i, space, Caps(path_steps=2000)).prunes:
+                assert m1 < m2 == len(path) - 1
+                assert sim(path[m1], path[m2])
+                assert not any(sim(path[k], path[m2]) for k in range(m1))
 
 
 class TestSatisfy:
