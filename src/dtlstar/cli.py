@@ -16,7 +16,7 @@ from typing import Any
 from . import __version__
 from .preorder import PreorderError
 from .proofkit import ProofError, check_proof, proof_from_json, soundness_harness
-from .quasimodel import quasimodel_from_json, validate_quasimodel
+from .quasimodel import QuasimodelError, quasimodel_from_json, validate_quasimodel
 from .semantics import (
     ModelError,
     enumerate_models,
@@ -131,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ModelError, PreorderError, StateError, ProofError, SpaceError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as e:
+    except (ParseError, ModelError, PreorderError, StateError, QuasimodelError, ProofError,
+            SpaceError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .util import Verdict, OK, bits, fail
 
@@ -29,7 +29,8 @@ class Preorder:
     authors may write Hasse-style edges.
     """
 
-    __slots__ = ("worlds", "index", "down", "up", "full", "_cluster_masks", "_auts")
+    __slots__ = ("worlds", "index", "down", "up", "full", "_cluster_masks", "_quotient",
+                 "_norm", "_auts")
 
     def __init__(self, worlds: Iterable[str], pairs: Iterable[tuple[str, str]] = ()):
         self.worlds: tuple[str, ...] = tuple(sorted(set(worlds)))
@@ -56,6 +57,8 @@ class Preorder:
         self.up: tuple[int, ...] = tuple(up)
         self.full: int = (1 << n) - 1
         self._cluster_masks: tuple[int, ...] | None = None
+        self._quotient: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+        self._norm: tuple[int, int, int] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
@@ -133,6 +136,54 @@ class Preorder:
     def cluster(self, w: str) -> frozenset[str]:
         return self.ids_of(self.cluster_mask(self.index[w]))
 
+    def quotient(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Cluster masks plus, per cluster, the indices of the strictly lower
+        clusters."""
+        if self._quotient is None:
+            cms = self.cluster_masks()
+            reps = [next(bits(c)) for c in cms]
+            below = tuple(
+                tuple(dj for dj, drep in enumerate(reps)
+                      if dj != ci and self.down[rep] >> drep & 1)
+                for ci, rep in enumerate(reps)
+            )
+            self._quotient = (cms, below)
+        return self._quotient
+
+    def daughters(self, ci: int) -> list[int]:
+        """The clusters immediately below cluster ``ci``."""
+        below = self.quotient()[1]
+        return [d for d in below[ci] if not any(d in below[e] for e in below[ci])]
+
+    def norm(self) -> tuple[int, int, int]:
+        """Height, width, and their maximum.
+
+        Height counts distinct worlds along a maximal comparability chain, so a
+        cluster contributes its whole size; bounding height and width therefore
+        bounds the world count on its own.  (Counting only strict steps is
+        refuted by experiment: the small-successor norm budget it yields is too
+        tight for cluster states to discharge their eventualities, breaking the
+        successor-disjunction validity that the acceptance suite gates.)
+        Width is the largest number of immediate strictly-lower daughter
+        clusters any single world has.
+        """
+        if self._norm is None:
+            cms, below = self.quotient()
+            height = [0] * len(cms)
+            # a strictly lower cluster has strictly fewer clusters below it
+            for ci in sorted(range(len(cms)), key=lambda ci: len(below[ci])):
+                height[ci] = cms[ci].bit_count() + max((height[d] for d in below[ci]),
+                                                       default=0)
+            hgt = max(height)
+            wdt = max(len(self.daughters(ci)) for ci in range(len(cms)))
+            self._norm = (hgt, wdt, max(hgt, wdt))
+        return self._norm
+
+    def order_pairs(self, mask: int | None = None) -> list[tuple[str, str]]:
+        """(lower, upper) pairs of distinct worlds, both in ``mask`` (default
+        all), ordered by upper index and then by lower index."""
+        return _order_pairs(self.worlds, self.down, self.full if mask is None else mask)
+
     # -- isomorphism --------------------------------------------------------
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
@@ -156,6 +207,10 @@ def _permute_down(down: tuple[int, ...] | list[int], perm: tuple[int, ...]) -> t
             m |= 1 << perm[j]
         out[perm[i]] = m
     return tuple(out)
+
+
+def _order_pairs(names: tuple[str, ...], down: tuple[int, ...], mask: int) -> list[tuple[str, str]]:
+    return [(names[j], names[i]) for i in bits(mask) for j in bits(down[i] & mask) if j != i]
 
 
 def _resolve_map(p: Preorder, f: Mapping[str, str] | Callable[[str], str]) -> list[int]:
@@ -273,12 +328,7 @@ def _iso_representatives(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _from_down(names: tuple[str, ...], down: tuple[int, ...]) -> Preorder:
-    pairs = []
-    for i, d in enumerate(down):
-        for j in bits(d):
-            if j != i:
-                pairs.append((names[j], names[i]))
-    return Preorder(names, pairs)
+    return Preorder(names, _order_pairs(names, down, (1 << len(down)) - 1))
 
 
 def monotone_maps(p: Preorder) -> Iterator[dict[str, str]]:
@@ -305,3 +355,38 @@ def monotone_maps(p: Preorder) -> Iterator[dict[str, str]]:
                 chosen.pop()
 
     yield from extend(0)
+
+
+# ---------------------------------------------------------------------------
+# JSON.  The readers check the shape of what they read, so a malformed
+# document raises PreorderError instead of failing somewhere inside.
+
+def json_key(data: Mapping, key: str, what: str) -> Any:
+    """``data[key]``; a missing key names ``key`` and the document ``what``."""
+    if key not in data:
+        raise PreorderError(f"{what} JSON missing key {key!r}")
+    return data[key]
+
+
+def json_pairs(value: Any, what: str) -> list[tuple[str, str]]:
+    """``value`` as a list of (world, world) pairs of strings."""
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(w, str) for w in p)
+        for p in value
+    ):
+        raise PreorderError(f"{what} must be a list of [world, world] pairs")
+    return [tuple(p) for p in value]
+
+
+def preorder_from_json(data: Any, what: str) -> Preorder:
+    """The ``worlds`` and ``order`` block of a JSON document named ``what``."""
+    if not isinstance(data, Mapping):
+        raise PreorderError(f"{what} JSON must be an object, not {type(data).__name__}")
+    worlds = json_key(data, "worlds", what)
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise PreorderError(f"{what} JSON 'worlds' must be a list of strings")
+    return Preorder(worlds, json_pairs(data.get("order", []), f"{what} JSON 'order'"))
+
+
+def preorder_to_json(p: Preorder) -> dict:
+    return {"worlds": list(p.worlds), "order": [list(pair) for pair in p.order_pairs()]}

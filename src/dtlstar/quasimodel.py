@@ -17,21 +17,20 @@ workhorse oracle for this module's tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable
 
-from .preorder import Preorder, is_continuous_relation
+from .preorder import Preorder, is_continuous_relation, json_key, json_pairs
 from .semantics import DynModel
-from .states import TypedPreorder, TypeSet, t_contains, typed_preorder_of_model, validate_typing
-from .syntax import (
-    Formula,
-    Hence,
-    Neg,
-    Next,
-    negated,
-    parse,
-    strip_double_neg,
-    to_text,
+from .states import (
+    TypedPreorder,
+    TypeSet,
+    t_contains,
+    typed_preorder_from_json,
+    typed_preorder_of_model,
+    typed_preorder_to_json,
+    validate_typing,
 )
+from .syntax import Formula, Hence, Neg, Next, negated, strip_double_neg, to_text
 from .util import Verdict, OK, bits, fail
 
 
@@ -129,25 +128,12 @@ def validate_quasimodel(q: Quasimodel) -> Verdict:
                 )
     for i in range(len(space.worlds)):
         for ev, target in eventualities_of(q.base.types[i]):
-            if not _reaches_realizer(q, i, target):
+            if _shortest_path_to(q, i, target) is None:
                 return fail(
                     "eventuality never realized along any step path",
                     (space.worlds[i], ev),
                 )
     return OK
-
-
-def _reaches_realizer(q: Quasimodel, start: int, target: Formula) -> bool:
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        if t_contains(q.base.types[i], target):
-            return True
-        for j in bits(q.succ[i] & ~seen):
-            seen |= 1 << j
-            frontier.append(j)
-    return False
 
 
 def _shortest_path_to(q: Quasimodel, start: int, target: Formula) -> list[int] | None:
@@ -317,22 +303,27 @@ def realizing_lasso(q: Quasimodel, w0: str) -> Path:
         nonlocal pending
         pending = [x for x in pending if not t_contains(t, x)]
 
+    def close() -> Path | None:
+        """A realizing lasso closing the cycle through an earlier occurrence
+        of the path's last world, if one exists."""
+        for jpos in range(len(path) - 1):
+            if path[jpos] == path[-1]:
+                cand = Path(tuple(space.worlds[i] for i in path[:-1]), jpos)
+                if is_realizing(q, cand):
+                    return cand
+        return None
+
     absorb(start)
     discharge(start)
     n_types = len(space.worlds)
     bound = 4 * (n_types + 1) * (1 << min(len(pending) + 4, 12)) + 64
     for _ in range(bound):
         if not pending:
-            # try to close a cycle through any earlier occurrence of a world
-            cur = path[-1]
-            for jpos in range(len(path) - 1):
-                if path[jpos] == cur:
-                    cand = Path(tuple(space.worlds[i] for i in path[:-1]), jpos)
-                    if is_realizing(q, cand):
-                        return cand
-            nxt = next(bits(q.succ[cur]), None)
+            if (lasso := close()) is not None:
+                return lasso
+            nxt = next(bits(q.succ[path[-1]]), None)
             if nxt is None:
-                raise QuasimodelError(f"step is not serial at {space.worlds[cur]!r}")
+                raise QuasimodelError(f"step is not serial at {space.worlds[path[-1]]!r}")
             path.append(nxt)
             absorb(nxt)
             discharge(nxt)
@@ -350,14 +341,8 @@ def realizing_lasso(q: Quasimodel, w0: str) -> Path:
             discharge(i)
         if t_contains(q.base.types[path[-1]], target):
             discharge(path[-1])
-        # also try closing here
-        cur = path[-1]
-        if not pending:
-            for jpos in range(len(path) - 1):
-                if path[jpos] == cur:
-                    cand = Path(tuple(space.worlds[i] for i in path[:-1]), jpos)
-                    if is_realizing(q, cand):
-                        return cand
+        if not pending and (lasso := close()) is not None:
+            return lasso
     raise QuasimodelError("no realizing lasso found within the search bound")
 
 
@@ -377,22 +362,11 @@ def orbit_lasso(model: DynModel, x: str) -> Path:
 # ---------------------------------------------------------------------------
 # JSON.
 
-def quasimodel_from_json(data: Mapping) -> Quasimodel:
-    space = Preorder(data["worlds"], [tuple(p) for p in data.get("order", [])])
-    types = {w: [parse(s) for s in ts] for w, ts in data["types"].items()}
-    return Quasimodel(TypedPreorder(space, types), [tuple(p) for p in data["step"]])
+def quasimodel_from_json(data: Any) -> Quasimodel:
+    base = typed_preorder_from_json(data, "quasimodel")
+    return Quasimodel(base, json_pairs(json_key(data, "step", "quasimodel"),
+                                       "quasimodel JSON 'step'"))
 
 
 def quasimodel_to_json(q: Quasimodel) -> dict:
-    space = q.space
-    order = []
-    for i, d in enumerate(space.down):
-        for j in bits(d):
-            if j != i:
-                order.append([space.worlds[j], space.worlds[i]])
-    return {
-        "worlds": list(space.worlds),
-        "order": order,
-        "types": {w: sorted(to_text(f) for f in q.type_of(w)) for w in space.worlds},
-        "step": [list(p) for p in q.step_pairs()],
-    }
+    return {**typed_preorder_to_json(q.base), "step": [list(p) for p in q.step_pairs()]}

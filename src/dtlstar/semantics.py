@@ -31,7 +31,14 @@ import itertools
 import random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .preorder import Preorder, enumerate_preorders, is_continuous_map, monotone_maps
+from .preorder import (
+    Preorder,
+    enumerate_preorders,
+    is_continuous_map,
+    monotone_maps,
+    preorder_from_json,
+    preorder_to_json,
+)
 from .syntax import And, Formula, Hence, Neg, Next, Tangle, Var, postorder
 from .util import bits
 
@@ -177,31 +184,27 @@ def tangled_cluster(model: DynModel | Preorder, sets: Iterable[Iterable[str] | i
 # Model JSON.
 
 def model_from_json(data: Mapping) -> DynModel:
-    try:
-        worlds = data["worlds"]
-        order = data.get("order", [])
-        fmap = data["f"]
-        val = data.get("val", {})
-    except KeyError as e:
-        raise ModelError(f"model JSON missing key {e}") from None
-    space = Preorder(worlds, [tuple(p) for p in order])
+    for key in ("worlds", "f"):
+        if isinstance(data, Mapping) and key not in data:
+            raise ModelError(f"model JSON missing key {key!r}")
+    space = preorder_from_json(data, "model")
+    fmap, val = data["f"], data.get("val", {})
+    if not isinstance(fmap, Mapping) or not all(isinstance(v, str) for v in fmap.values()):
+        raise ModelError("model JSON 'f' must map worlds to worlds")
+    if not isinstance(val, Mapping) or not all(
+        isinstance(ws, list) and all(isinstance(w, str) for w in ws) for ws in val.values()
+    ):
+        raise ModelError("model JSON 'val' must map variables to lists of worlds")
     missing = [w for w in space.worlds if w not in fmap]
     if missing:
         raise ModelError(f"map not total: missing {missing}")
-    return DynModel(space, fmap, {v: list(ws) for v, ws in val.items()},
-                    strict=bool(data.get("strict", False)))
+    return DynModel(space, fmap, val, strict=bool(data.get("strict", False)))
 
 
 def model_to_json(model: DynModel) -> dict:
     space = model.space
-    order = []
-    for i, d in enumerate(space.down):
-        for j in bits(d):
-            if j != i:
-                order.append([space.worlds[j], space.worlds[i]])
     return {
-        "worlds": list(space.worlds),
-        "order": order,
+        **preorder_to_json(space),
         "f": {w: model.map_of(w) for w in space.worlds},
         "val": {v: sorted(space.ids_of(m)) for v, m in sorted(model.val.items())},
     }

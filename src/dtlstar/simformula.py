@@ -35,7 +35,6 @@ from .simulation import simulates
 from .states import (
     State,
     StateError,
-    _quotient,
     distinctly_typed,
     state_p,
     substate_at,
@@ -72,14 +71,9 @@ def raw_sim_formula(st: State) -> Formula:
     space = st.space
     ri = space.index[st.root]
     root_cluster = space.cluster_mask(ri)
-    cms, below = _quotient(space)
-    root_ci = next(ci for ci, c in enumerate(cms) if c == root_cluster)
-    immediate = [
-        d for d in below[root_ci]
-        if not any(d in below[e] for e in below[root_ci])
-    ]
+    cms = space.cluster_masks()
     daughter_reps = []
-    for d in immediate:
+    for d in space.daughters(cms.index(root_cluster)):
         rep = min(bits(cms[d]), key=lambda i: (type_key(st.types[i]), i))
         daughter_reps.append(space.worlds[rep])
     daughter_sims = [raw_sim_formula(substate_at(st, rep)) for rep in sorted(daughter_reps)]

@@ -82,8 +82,9 @@ def simulates(w: State, v: State) -> Verdict:
     return fail("no simulation relates the roots", rel)
 
 
-def simulated_points_mask(st: State, model: DynModel) -> int:
-    """Mask of model points whose downset the state embeds into."""
+def _model_relation(st: State, model: DynModel) -> list[int]:
+    """Per state world, the mask of model points it is related to by the
+    greatest continuous relation whose pairs satisfy the source world's type."""
     initial = []
     for t in st.types:
         m = model.space.full
@@ -92,8 +93,12 @@ def simulated_points_mask(st: State, model: DynModel) -> int:
             if not m:
                 break
         initial.append(m)
-    rel = _refine(st.base, model.space.down, initial)
-    return rel[st.space.index[st.root]]
+    return _refine(st.base, model.space.down, initial)
+
+
+def simulated_points_mask(st: State, model: DynModel) -> int:
+    """Mask of model points whose downset the state embeds into."""
+    return _model_relation(st, model)[st.space.index[st.root]]
 
 
 def simulates_in_model(st: State, model: DynModel, x: str) -> Verdict:
@@ -101,15 +106,7 @@ def simulates_in_model(st: State, model: DynModel, x: str) -> Verdict:
 
     Pairs must satisfy the source world's whole type at the target point.
     """
-    initial = []
-    for t in st.types:
-        m = model.space.full
-        for f in t:
-            m &= model.eval_mask(f)
-            if not m:
-                break
-        initial.append(m)
-    rel = _refine(st.base, model.space.down, initial)
+    rel = _model_relation(st, model)
     pairs = frozenset(
         (st.space.worlds[w], model.space.worlds[v])
         for w in range(len(rel))

@@ -18,9 +18,9 @@ compare equal exactly when isomorphic.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .preorder import Preorder
+from .preorder import Preorder, json_key, preorder_from_json, preorder_to_json
 from .semantics import DynModel
 from .syntax import (
     And,
@@ -192,16 +192,9 @@ class TypedPreorder:
         return frozenset(out)
 
     def restrict(self, mask: int) -> "TypedPreorder":
-        keep = [i for i in bits(mask)]
-        names = [self.space.worlds[i] for i in keep]
-        pairs = [
-            (self.space.worlds[j], self.space.worlds[i])
-            for i in keep
-            for j in bits(self.space.down[i] & mask)
-            if j != i
-        ]
-        space = Preorder(names, pairs)
-        return TypedPreorder(space, {self.space.worlds[i]: self.types[i] for i in keep})
+        space = Preorder([self.space.worlds[i] for i in bits(mask)],
+                         self.space.order_pairs(mask))
+        return TypedPreorder(space, [self.types[i] for i in bits(mask)])
 
     def __repr__(self) -> str:
         return f"TypedPreorder({len(self.space.worlds)} worlds)"
@@ -394,59 +387,10 @@ def state_of_model_point(model: DynModel, phi: Iterable[Formula], x: str) -> Sta
 # ---------------------------------------------------------------------------
 # Norms.
 
-def _quotient(space: Preorder) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Cluster masks plus, per cluster, the list of strictly lower clusters."""
-    cms = space.cluster_masks()
-    below: list[list[int]] = []
-    for ci, c in enumerate(cms):
-        rep = next(bits(c))
-        lower = []
-        for dj, d in enumerate(cms):
-            if dj == ci:
-                continue
-            drep = next(bits(d))
-            if space.down[rep] >> drep & 1:
-                lower.append(dj)
-        below.append(lower)
-    return cms, below
-
-
 def norm(st: State) -> tuple[int, int, int]:
-    """Height, width, and their maximum.
-
-    Height counts distinct worlds along a maximal comparability chain, so a
-    cluster contributes its whole size; bounding height and width therefore
-    bounds the state's world count on its own.  (Counting only strict steps
-    is refuted by experiment: the small-successor norm budget it yields is
-    too tight for cluster states to discharge their eventualities, breaking
-    the successor-disjunction validity that the acceptance suite gates.)
-    Width is the largest number of immediate strictly-lower daughter
-    clusters any single world has.
-    """
-    space = st.space
-    cms, below = _quotient(space)
-    k = len(cms)
-    hgt_memo = [0] * k
-    remaining = set(range(k))
-    while remaining:
-        progressed = False
-        for ci in sorted(remaining):
-            if all(d not in remaining for d in below[ci]):
-                size = len(list(bits(cms[ci])))
-                hgt_memo[ci] = size + max((hgt_memo[d] for d in below[ci]), default=0)
-                remaining.discard(ci)
-                progressed = True
-        if not progressed:  # pragma: no cover - quotient of a preorder is acyclic
-            raise StateError("cyclic quotient")
-    hgt = max(hgt_memo)
-    wdt = 0
-    for ci in range(k):
-        immediate = [
-            d for d in below[ci]
-            if not any(d in below[e] for e in below[ci])
-        ]
-        wdt = max(wdt, len(immediate))
-    return hgt, wdt, max(hgt, wdt)
+    """Height, width, and their maximum of the state's preorder (see
+    ``Preorder.norm``)."""
+    return st.space.norm()
 
 
 def sub_dia_count(st: State) -> int:
@@ -548,24 +492,32 @@ def state_subst(st: State, sigma: Mapping[str, Formula]) -> State:
 # ---------------------------------------------------------------------------
 # JSON.
 
-def state_from_json(data: Mapping) -> State:
-    space = Preorder(data["worlds"], [tuple(p) for p in data.get("order", [])])
-    types = {w: [parse(s) for s in ts] for w, ts in data["types"].items()}
-    return State(TypedPreorder(space, types), data["root"])
+def typed_preorder_from_json(data: Any, what: str) -> TypedPreorder:
+    """The ``worlds``, ``order`` and ``types`` block of a JSON document named
+    ``what``."""
+    space = preorder_from_json(data, what)
+    types = json_key(data, "types", what)
+    if not isinstance(types, Mapping) or not all(
+        isinstance(ts, list) and all(isinstance(t, str) for t in ts) for ts in types.values()
+    ):
+        raise StateError(f"{what} JSON 'types' must map worlds to lists of formulas")
+    return TypedPreorder(space, {w: [parse(t) for t in ts] for w, ts in types.items()})
+
+
+def typed_preorder_to_json(tp: TypedPreorder) -> dict:
+    return {
+        **preorder_to_json(tp.space),
+        "types": {w: sorted(to_text(f) for f in tp.type_of(w)) for w in tp.space.worlds},
+    }
+
+
+def state_from_json(data: Any) -> State:
+    base = typed_preorder_from_json(data, "state")
+    root = json_key(data, "root", "state")
+    if not isinstance(root, str):
+        raise StateError("state JSON 'root' must be a world")
+    return State(base, root)
 
 
 def state_to_json(st: State) -> dict:
-    space = st.space
-    order = []
-    for i, d in enumerate(space.down):
-        for j in bits(d):
-            if j != i:
-                order.append([space.worlds[j], space.worlds[i]])
-    return {
-        "worlds": list(space.worlds),
-        "order": order,
-        "root": st.root,
-        "types": {
-            w: sorted(to_text(f) for f in st.type_of(w)) for w in space.worlds
-        },
-    }
+    return {**typed_preorder_to_json(st.base), "root": st.root}

@@ -43,7 +43,6 @@ from .states import (
     State,
     StateError,
     TypedPreorder,
-    _quotient,
     has_type_containing,
     norm,
     phi_types,
@@ -85,6 +84,12 @@ class Caps:
 
 class SpaceError(ValueError):
     pass
+
+
+def _norm_bound(phi: Sequence[Formula], k: int = 0) -> int:
+    """The level-k norm bound over phi; an empty signature still admits the
+    one-world state with the empty type."""
+    return max(1, (k + 1) * formula_length(phi))
 
 
 def _check_oracle_caps(worlds: int, budget: int) -> None:
@@ -196,8 +201,7 @@ def enumerate_phi_states(
     truncated the enumeration.
     """
     phi = tuple(phi)
-    # an empty signature still admits the one-world state with the empty type
-    bound = max(1, (k + 1) * formula_length(phi))
+    bound = _norm_bound(phi, k)
     types = phi_types(phi)
     notes: list[str] = []
     seen: set[tuple] = set()
@@ -210,8 +214,7 @@ def enumerate_phi_states(
     hard_world_cap = min(caps.max_worlds, max_cluster * max_clusters)
     for n in range(1, hard_world_cap + 1):
         for shape, tops in _rooted_shapes(n):
-            shape_norm = _shape_norm(shape)
-            if shape_norm > bound:
+            if shape.norm()[2] > bound:
                 continue
             cluster_list = shape.cluster_masks()
             for assign in _type_assignments(shape, cluster_list, types):
@@ -232,25 +235,6 @@ def enumerate_phi_states(
         complete = False
         notes.append(f"world cap {hard_world_cap} below the norm-bound maximum")
     return out, complete, notes
-
-
-def _shape_norm(p: Preorder) -> int:
-    cms, below = _quotient(p)
-    k = len(cms)
-    memo = [0] * k
-    remaining = set(range(k))
-    while remaining:
-        for ci in sorted(remaining):
-            if all(d not in remaining for d in below[ci]):
-                size = len(list(bits(cms[ci])))
-                memo[ci] = size + max((memo[d] for d in below[ci]), default=0)
-                remaining.discard(ci)
-    hgt = max(memo)
-    wdt = 0
-    for ci in range(k):
-        immediate = [d for d in below[ci] if not any(d in below[e] for e in below[ci])]
-        wdt = max(wdt, len(immediate))
-    return max(hgt, wdt)
 
 
 def _type_assignments(shape: Preorder, clusters: Sequence[int], types: Sequence) -> Iterator[tuple]:
@@ -305,7 +289,7 @@ def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) ->
     space = StateSpace(
         phi=phi,
         k=k,
-        norm_bound=max(1, (k + 1) * formula_length(phi)),
+        norm_bound=_norm_bound(phi, k),
         states=states,
         substate_pairs=sub_pairs,
         step_pairs=set(),
@@ -339,8 +323,7 @@ def reduce_state(
     candidates.  Returns None
     when the capped search fails; callers treat that as unknown.
     """
-    phi = tuple(phi)
-    bound = max(1, formula_length(phi))
+    bound = _norm_bound(tuple(phi))
     if norm(st)[2] <= bound:
         return st
     space = st.space
@@ -725,12 +708,12 @@ class SatReport:
 
 def _fragment_from_model(
     model: DynModel, phi: tuple[Formula, ...], x: str, caps: Caps
-) -> tuple[list[State], dict[int, str], list[tuple[int, int]], list[str]]:
+) -> tuple[list[State], list[tuple[int, int]], list[str]]:
     """Orbit-closed family of model-derived states with step edges.
 
     Nodes are the point-states of every world in the forward closure of the
-    downset of ``x``; each node is anchored at a model point witnessing its
-    consistency, and steps follow the map on anchors.
+    downset of ``x``; each point belongs to the node of its point-state, and
+    steps follow the map from point to point.  Returns (nodes, edges, notes).
     """
     space = model.space
     points: set[int] = set(bits(space.down[space.index[x]]))
@@ -747,7 +730,6 @@ def _fragment_from_model(
                 frontier.append(d)
     notes: list[str] = []
     nodes: list[State] = []
-    anchor: dict[int, str] = {}
     key_of: dict[tuple, int] = {}
     point_node: dict[int, int] = {}
     for i in sorted(points):
@@ -759,13 +741,12 @@ def _fragment_from_model(
                 break
             key_of[key] = len(nodes)
             nodes.append(st)
-            anchor[key_of[key]] = space.worlds[i]
         point_node[i] = key_of[key]
     edges: set[tuple[int, int]] = set()
     for i in sorted(points):
         if i in point_node and model.f[i] in point_node:
             edges.add((point_node[i], point_node[model.f[i]]))
-    return nodes, anchor, sorted(edges), notes
+    return nodes, sorted(edges), notes
 
 
 def satisfy(
@@ -819,7 +800,7 @@ def satisfy(
         info["witness_state_in_base_norm"] = True
         w_star = reduced
 
-    nodes, anchors, edges, notes = _fragment_from_model(model, phi, x, caps)
+    nodes, edges, notes = _fragment_from_model(model, phi, x, caps)
     info["fragment_notes"] = notes
     # independent re-verification of every edge and of node consistency
     verified_edges = []

@@ -139,6 +139,32 @@ class TestCommands:
         _, out2, _ = run(capsys, "satisfy", "F p & ~p", "--seed", "5")
         assert out1 == out2
 
+    @pytest.mark.parametrize("command, data, message", [
+        ("quasimodel-check", {"worlds": ["a"], "types": {"a": ["p"]}, "step": [["a", "b"]]},
+         "unknown world in step pair ('a', 'b')"),
+        ("check-model", {"worlds": 5, "f": {}}, "'worlds' must be a list of strings"),
+        ("check-model", [1, 2], "model JSON must be an object"),
+        ("sim", [1, 2], "state JSON must be an object"),
+        ("sim", {"worlds": ["a"], "types": {"a": ["p"]}}, "state JSON missing key 'root'"),
+    ], ids=["qm-unknown-step-world", "model-worlds-int", "model-array", "state-array",
+            "state-no-root"])
+    def test_malformed_input_exit_2(self, capsys, tmp_path, state_file, command, data, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = ["sim", "--state", str(path), "--target-state", state_file] \
+            if command == "sim" else [command, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
+    def test_check_model_missing_key_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"f": {}}))
+        code, out, _ = run(capsys, "check-model", str(path))
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "model JSON missing key 'worlds'"}
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "/nonexistent.json",
                            "--formula", "p")

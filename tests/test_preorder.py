@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,10 @@ from dtlstar.preorder import (
     is_continuous_relation,
     monotone_maps,
 )
+from dtlstar.quasimodel import quasimodel_from_json, quasimodel_of_model, quasimodel_to_json
+from dtlstar.semantics import model_from_json, model_to_json, random_model
+from dtlstar.states import state_from_json, state_of_model_point, state_to_json
+from dtlstar.syntax import parse
 from dtlstar.util import bits
 
 
@@ -150,3 +155,73 @@ class TestEnumeration:
         p = Preorder(["a", "x", "y"], [("x", "y"), ("y", "x"), ("x", "a")])
         assert p.cluster("x") == {"x", "y"}
         assert p.cluster("a") == {"a"}
+
+
+def labelled_preorders(max_worlds=4):
+    for n in range(1, max_worlds + 1):
+        yield from enumerate_preorders(n, up_to_iso=False)
+
+
+def brute_norm(p):
+    """Height and width from the definitions, on world names only."""
+    clusters = {frozenset(v for v in p.worlds if p.le(v, w) and p.le(w, v)) for w in p.worlds}
+    lt = {(c, d) for c in clusters for d in clusters
+          if c != d and p.le(next(iter(c)), next(iter(d)))}
+    height = max(
+        sum(map(len, chain))
+        for r in range(1, len(clusters) + 1)
+        for chain in itertools.combinations(clusters, r)
+        if all((a, b) in lt or (b, a) in lt for a, b in itertools.combinations(chain, 2))
+    )
+    width = max(
+        sum(1 for c in clusters if (c, d) in lt
+            and not any((c, e) in lt and (e, d) in lt for e in clusters))
+        for d in clusters
+    )
+    return height, width, max(height, width)
+
+
+class TestShapeTwins:
+    """``norm``, ``order_pairs`` and ``quotient`` against the definitions, on
+    every labelled preorder with at most four worlds."""
+
+    def test_norm_matches_brute_force(self):
+        for p in labelled_preorders():
+            assert p.norm() == brute_norm(p), p.down
+
+    def test_order_pairs_rebuild_the_preorder(self):
+        for p in labelled_preorders():
+            assert Preorder(p.worlds, p.order_pairs()).down == p.down
+
+    def test_order_pairs_of_every_mask(self):
+        for p in labelled_preorders():
+            n = len(p)
+            for mask in range(1 << n):
+                inside = [i for i in range(n) if mask >> i & 1]
+                expected = [(p.worlds[j], p.worlds[i]) for i in inside for j in inside
+                            if j != i and p.le(p.worlds[j], p.worlds[i])]
+                assert p.order_pairs(mask) == expected
+
+    def test_quotient_lists_strictly_lower_clusters(self):
+        for p in labelled_preorders():
+            cms, below = p.quotient()
+            assert cms == p.cluster_masks()
+            for ci, c in enumerate(cms):
+                i = next(bits(c))
+                assert below[ci] == tuple(d for d, m in enumerate(cms)
+                                          if m != c and p.down[i] & m)
+
+
+class TestJsonBlocks:
+    def test_round_trips(self):
+        rng = random.Random(5)
+        phi = (parse("<>p & X q"), parse("G p"))
+        for _ in range(40):
+            model = random_model(rng, 4, ["p", "q"])
+            data = model_to_json(model)
+            assert model_to_json(model_from_json(data)) == data
+            st = state_of_model_point(model, phi, model.space.worlds[-1])
+            again = state_from_json(state_to_json(st))
+            assert again == st and state_to_json(again) == state_to_json(st)
+            q = quasimodel_to_json(quasimodel_of_model(model, phi))
+            assert quasimodel_to_json(quasimodel_from_json(q)) == q
