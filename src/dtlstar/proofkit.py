@@ -246,7 +246,42 @@ def _check_step(proof: ProofObject, k: int, step: ProofStep) -> Verdict:
 # ---------------------------------------------------------------------------
 # Proof JSON.
 
+# (key, type, what the type is called, required) for each key of a proof step
+_STEP_SHAPE = (("formula", str, "a string", True), ("rule", str, "a string", True),
+               ("name", str, "a string", False), ("inst", Mapping, "a map", False),
+               ("subst", Mapping, "a map", False), ("refs", list, "a list", False))
+
+
+def _check_proof_shape(data: object) -> None:
+    """Raise ProofError naming the first key of a proof document whose value
+    is missing or has the wrong shape."""
+    if not isinstance(data, Mapping):
+        raise ProofError(f"proof JSON must be an object, not {type(data).__name__}")
+    if "steps" not in data:
+        raise ProofError("proof JSON missing key 'steps'")
+    steps = data["steps"]
+    if not isinstance(steps, list) or not all(isinstance(raw, Mapping) for raw in steps):
+        raise ProofError("proof JSON 'steps' must be a list of objects")
+    for k, raw in enumerate(steps, start=1):
+        for key, kind, called, required in _STEP_SHAPE:
+            if key not in raw:
+                if required:
+                    raise ProofError(f"proof step {k} missing key {key!r}")
+            elif not isinstance(raw[key], kind):
+                raise ProofError(f"proof step {k}: {key!r} must be {called}")
+        inst = raw.get("inst", {})
+        gamma = inst.get("Gamma", [])
+        texts = [v for key, v in inst.items() if key != "Gamma"]
+        texts += list(raw.get("subst", {}).values())
+        if not isinstance(gamma, list) or not all(isinstance(t, str) for t in texts + gamma):
+            raise ProofError(f"proof step {k}: 'inst' and 'subst' must map to formula texts"
+                             " ('Gamma' to a list of them)")
+        if not all(isinstance(r, int) and not isinstance(r, bool) for r in raw.get("refs", [])):
+            raise ProofError(f"proof step {k}: 'refs' must list step numbers")
+
+
 def proof_from_json(data: Mapping) -> ProofObject:
+    _check_proof_shape(data)
     steps = []
     for raw in data["steps"]:
         inst = {}

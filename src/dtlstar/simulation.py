@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .semantics import DynModel
-from .states import State, TypedPreorder, type_key
+from .states import State, TypedPreorder
 from .util import Verdict, bits, fail
 
 
@@ -60,11 +60,10 @@ def _refine(
 
 def greatest_simulation(a: TypedPreorder, b: TypedPreorder) -> SimRelation:
     """Largest type-preserving continuous relation between two typed preorders."""
-    keys_b: dict[tuple, int] = {}
+    worlds_b: dict[frozenset, int] = {}
     for j, t in enumerate(b.types):
-        keys_b.setdefault(type_key(t), 0)
-        keys_b[type_key(t)] |= 1 << j
-    initial = [keys_b.get(type_key(t), 0) for t in a.types]
+        worlds_b[t] = worlds_b.get(t, 0) | 1 << j
+    initial = [worlds_b.get(t, 0) for t in a.types]
     rel = _refine(a, b.space.down, initial)
     pairs = frozenset(
         (a.space.worlds[w], b.space.worlds[v])

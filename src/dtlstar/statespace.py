@@ -29,10 +29,9 @@ lasso); exhausted caps yield "no witness found", never "unsatisfiable".
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Container, Iterable, Iterator, Sequence
 
 from .preorder import Preorder, enumerate_preorders
 from .proofkit import check_proof
@@ -51,7 +50,6 @@ from .states import (
     sub_dia_count,
     substates,
     t_contains,
-    type_key,
     validate_typing,
 )
 from .quasimodel import (
@@ -69,27 +67,8 @@ from .util import Verdict, bits, fail
 from .simulation import _refine, simulated_points_mask
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Engineering truncations; every cap hit is recorded in the output."""
-
-    max_worlds: int = 6          # world cap for full state-space enumeration
-    max_states: int = 2000
-    state_worlds: int = 3        # world cap for states inside satisfy
-    oracle_worlds: int = 3       # model size cap for the search oracle
-    oracle_budget: int = 50_000
-    fragment_states: int = 80
-    path_steps: int = 50_000
-
-
 class SpaceError(ValueError):
     pass
-
-
-def _norm_bound(phi: Sequence[Formula], k: int = 0) -> int:
-    """The level-k norm bound over phi; an empty signature still admits the
-    one-world state with the empty type."""
-    return max(1, (k + 1) * formula_length(phi))
 
 
 def _check_oracle_caps(worlds: int, budget: int) -> None:
@@ -99,15 +78,41 @@ def _check_oracle_caps(worlds: int, budget: int) -> None:
         raise SpaceError(f"oracle model budget must be at least 1 (got {budget})")
 
 
+@dataclass(frozen=True)
+class Caps:
+    """Engineering truncations; every cap hit is recorded in the output.
+    Every cap must be at least 1."""
+
+    max_worlds: int = 6          # world cap for full state-space enumeration
+    max_states: int = 2000
+    state_worlds: int = 3        # world cap for states inside satisfy
+    oracle_worlds: int = 3       # model size cap for the search oracle
+    oracle_budget: int = 50_000
+    fragment_states: int = 80
+    path_steps: int = 50_000
+
+    def __post_init__(self) -> None:
+        _check_oracle_caps(self.oracle_worlds, self.oracle_budget)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise SpaceError(f"cap {f.name} must be at least 1 (got {value})")
+
+
+def _norm_bound(phi: Sequence[Formula], k: int = 0) -> int:
+    """The level-k norm bound over phi; an empty signature still admits the
+    one-world state with the empty type."""
+    return max(1, (k + 1) * formula_length(phi))
+
+
 # ---------------------------------------------------------------------------
 # Temporal successors.
 
 def _sensible_types(t1, t2, memo: dict[tuple, bool]) -> bool:
-    key = (type_key(t1), type_key(t2))
-    hit = memo.get(key)
+    hit = memo.get((t1, t2))
     if hit is None:
         hit = bool(is_sensible_pair(t1, t2))
-        memo[key] = hit
+        memo[t1, t2] = hit
     return hit
 
 
@@ -298,6 +303,9 @@ def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) ->
         notes=notes,
     )
     memo: dict[tuple, bool] = {}
+    # is_small_successor per pair, with each state's side computed once
+    size = [norm(st)[2] for st in states]
+    small_limit = [n + sub_dia_count(st) for n, st in zip(size, states)]
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             if not _sensible_types(a.root_type(), b.root_type(), memo):
@@ -305,7 +313,7 @@ def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) ->
             t = temporal_successor(a, b, memo)
             if t:
                 space.step_pairs.add((i, j))
-                if is_small_successor(a, b):
+                if size[j] <= small_limit[i]:
                     space.small_pairs.add((i, j))
     return space
 
@@ -376,12 +384,29 @@ def _small_successors(space: StateSpace, keep: Container[int]) -> dict[int, list
     return succ
 
 
-def _sim_memo(states: Sequence[State]) -> Callable[[int, int], bool]:
-    """Does state i simulate state j, each pair decided once."""
-    return functools.cache(lambda i, j: bool(simulates(states[i], states[j])))
+class _SimMasks:
+    """Which states simulate state j, decided lazily over one list of
+    states: ``decided[j]`` holds the states whose answer is known and
+    ``yes[j]`` those of them that simulate state j."""
+
+    __slots__ = ("states", "decided", "yes")
+
+    def __init__(self, states: Sequence[State]):
+        self.states = states
+        self.decided = [0] * len(states)
+        self.yes = [0] * len(states)
+
+    def decide(self, mask: int, j: int) -> None:
+        """Decide for every state in ``mask`` whether it simulates state j."""
+        todo = mask & ~self.decided[j]
+        target = self.states[j]
+        for i in bits(todo):
+            if simulates(self.states[i], target):
+                self.yes[j] |= 1 << i
+        self.decided[j] |= todo
 
 
-def _walk(i0: int, succ: dict[int, list[int]], sim: Callable[[int, int], bool], steps: int,
+def _walk(i0: int, succ: dict[int, list[int]], sim: _SimMasks, steps: int,
           sink: EfficientPaths | None = None) -> tuple[set[int], bool]:
     """Depth-first search of the efficient paths from ``i0`` along ``succ``.
 
@@ -390,35 +415,43 @@ def _walk(i0: int, succ: dict[int, list[int]], sim: Callable[[int, int], bool], 
     one of ``steps``; when they run out the walk stops and reports
     truncation.  Returns (visited states, truncated); a ``sink`` also
     receives every maximal path and every prune.
+
+    Every state simulates itself, so a path never repeats a state and the
+    mask of its states stands for the path in the simulation test.
     """
-    visited: set[int] = set()
+    decided, yes = sim.decided, sim.yes
+    visited = 0
     budget = steps
     truncated = False
 
-    def visit(path: list[int]) -> None:
-        nonlocal budget, truncated
+    def visit(path: list[int], on_path: int) -> None:
+        nonlocal visited, budget, truncated
         if budget <= 0:
             truncated = True
             return
         budget -= 1
-        visited.add(path[-1])
+        visited |= 1 << path[-1]
         extended = False
         for nxt in succ.get(path[-1], ()):
-            for m1, old in enumerate(path):
-                if sim(old, nxt):
-                    if sink is not None:
-                        sink.prunes.append((tuple(path) + (nxt,), m1, len(path)))
-                    break
+            if on_path & ~decided[nxt]:
+                sim.decide(on_path, nxt)
+            hit = yes[nxt] & on_path
+            if hit:
+                if sink is not None:
+                    for m1, old in enumerate(path):
+                        if hit >> old & 1:
+                            break
+                    sink.prunes.append((tuple(path) + (nxt,), m1, len(path)))
             else:
                 extended = True
                 path.append(nxt)
-                visit(path)
+                visit(path, on_path | 1 << nxt)
                 path.pop()
         if not extended and sink is not None:
             sink.paths.append(tuple(path))
 
-    visit([i0])
-    return visited, truncated
+    visit([i0], 1 << i0)
+    return set(bits(visited)), truncated
 
 
 def efficient_paths(
@@ -431,7 +464,7 @@ def efficient_paths(
     i0 = _start_index(start, space)
     result = EfficientPaths([], [], False)
     succ = _small_successors(space, range(len(space.states)))
-    _, result.truncated = _walk(i0, succ, _sim_memo(space.states), caps.path_steps, result)
+    _, result.truncated = _walk(i0, succ, _SimMasks(space.states), caps.path_steps, result)
     return result
 
 
@@ -557,7 +590,7 @@ def reachable(
     if i0 not in allowed:
         return ReachResult(set(), excluded, False)
     out, truncated = _walk(
-        i0, _small_successors(space, allowed), _sim_memo(space.states), caps.path_steps)
+        i0, _small_successors(space, allowed), _SimMasks(space.states), caps.path_steps)
     return ReachResult(out, excluded, truncated)
 
 
@@ -634,7 +667,7 @@ def canonical_structure(
             openness.append({"state": sup, "substate": sub, "kind": kind(sub)})
 
     succ = _small_successors(space, cons_set)
-    sim = _sim_memo(space.states)
+    sim = _SimMasks(space.states)
     small_sources = {a for a, _ in space.small_pairs}
     seriality: list[dict] = []
     for i in cons:
@@ -765,7 +798,6 @@ def satisfy(
     """
     if oracle not in ("model-search", "trusting"):
         raise SpaceError(f"unknown oracle {oracle!r}")
-    _check_oracle_caps(caps.oracle_worlds, caps.oracle_budget)
     phi = (formula,)
     info: dict[str, Any] = {
         "caps": {

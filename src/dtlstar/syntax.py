@@ -377,10 +377,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest nesting the parser accepts.  Every operand of a prefix
+# operator or of "->", and every bracketed formula, opens one level.  A
+# formula at this depth still parses, prints and evaluates within Python's
+# default recursion limit; one level more is a ParseError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -408,7 +416,7 @@ class _Parser:
         a = self.or_()
         if self.peek() == "imp":
             self.next()
-            return implies(a, self.imp())
+            return implies(a, self.nested(self.imp))
         return a
 
     def or_(self) -> Formula:
@@ -425,18 +433,28 @@ class _Parser:
             a = And(a, self.unary())
         return a
 
+    def nested(self, parse: Callable[[], Formula]) -> Formula:
+        """``parse()`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels",
+                             self.tokens[self.i][2])
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
     def unary(self) -> Formula:
         kind, value, pos = self.next()
         if kind == "~":
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         if kind == "X":
-            return Next(self.unary())
+            return Next(self.nested(self.unary))
         if kind == "G":
-            return Hence(self.unary())
+            return Hence(self.nested(self.unary))
         if kind == "F":
-            return eventually(self.unary())
+            return eventually(self.nested(self.unary))
         if kind == "box":
-            return box(self.unary())
+            return box(self.nested(self.unary))
         if kind == "dia":
             if self.peek() == "{":
                 self.next()
@@ -444,15 +462,15 @@ class _Parser:
                 if self.peek() == "}":
                     self.next()
                     return Tangle(())
-                members.append(self.formula())
+                members.append(self.nested(self.formula))
                 while self.peek() == ",":
                     self.next()
-                    members.append(self.formula())
+                    members.append(self.nested(self.formula))
                 self.expect("}")
                 return Tangle(members)
-            return Tangle((self.unary(),))
+            return Tangle((self.nested(self.unary),))
         if kind == "(":
-            a = self.formula()
+            a = self.nested(self.formula)
             self.expect(")")
             return a
         if kind == "ident":

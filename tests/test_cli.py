@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from dtlstar.cli import main
+from dtlstar.syntax import MAX_NESTING
 
 
 @pytest.fixture
@@ -146,8 +147,12 @@ class TestCommands:
         ("check-model", [1, 2], "model JSON must be an object"),
         ("sim", [1, 2], "state JSON must be an object"),
         ("sim", {"worlds": ["a"], "types": {"a": ["p"]}}, "state JSON missing key 'root'"),
+        ("check-proof", [1, 2], "proof JSON must be an object"),
+        ("check-proof", {"steps": 5}, "proof JSON 'steps' must be a list of objects"),
+        ("check-proof", {"steps": [{"rule": "Axiom", "name": "T"}]},
+         "proof step 1 missing key 'formula'"),
     ], ids=["qm-unknown-step-world", "model-worlds-int", "model-array", "state-array",
-            "state-no-root"])
+            "state-no-root", "proof-array", "proof-steps-int", "proof-step-no-formula"])
     def test_malformed_input_exit_2(self, capsys, tmp_path, state_file, command, data, message):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
@@ -157,6 +162,32 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("formula", ["~" * 5000 + "p", "(" * 900 + "p" + ")" * 900],
+                             ids=["neg5000", "paren900"])
+    def test_parse_refuses_deep_nesting(self, capsys, formula):
+        code, out, err = run(capsys, "parse", formula)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"nested deeper than {MAX_NESTING} levels" in err
+
+    @pytest.mark.parametrize("shape", [
+        lambda n: "~" * n + "p",
+        lambda n: "F " * n + "p",
+        lambda n: "[]" * n + "p",
+        lambda n: "<>{p, " * n + "p" + "}" * n,
+        lambda n: "(" * n + "p" + ")" * n,
+        lambda n: "p -> " * n + "p",
+    ], ids=["neg", "eventually", "box", "tangle", "paren", "implies"])
+    def test_formula_at_the_nesting_limit(self, capsys, chain_model_file, shape):
+        code, out, _ = run(capsys, "parse", shape(MAX_NESTING))
+        assert code == 0
+        printed = json.loads(out)["formula"]
+        code, out, _ = run(capsys, "eval", "--model", chain_model_file,
+                           "--formula", shape(MAX_NESTING))
+        assert code == 0 and json.loads(out)["formula"] == printed
+        code, out, err = run(capsys, "parse", shape(MAX_NESTING + 1))
+        assert code == 2 and out == "" and err.count("\n") == 1
 
     def test_check_model_missing_key_exit_1(self, capsys, tmp_path):
         path = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -10,6 +11,7 @@ from dtlstar.simulation import simulates
 from dtlstar.statespace import (
     Caps,
     ConsistencyVerdict,
+    EfficientPaths,
     ModelSearchOracle,
     ProofWitnessOracle,
     SpaceError,
@@ -24,6 +26,9 @@ from dtlstar.statespace import (
     reduce_state,
     satisfy,
     temporal_successor,
+    _SimMasks,
+    _small_successors,
+    _walk,
 )
 from dtlstar.states import (
     State,
@@ -363,6 +368,39 @@ def slow_eventuality(space, oracle, caps):
     return out
 
 
+def list_scan_walk(i0, succ, sim, steps, sink=None):
+    """The slow twin of ``statespace._walk``: the same depth-first search,
+    testing every path position in order through ``sim(old, new)``."""
+    visited = set()
+    budget = steps
+    truncated = False
+
+    def visit(path):
+        nonlocal budget, truncated
+        if budget <= 0:
+            truncated = True
+            return
+        budget -= 1
+        visited.add(path[-1])
+        extended = False
+        for nxt in succ.get(path[-1], ()):
+            for m1, old in enumerate(path):
+                if sim(old, nxt):
+                    if sink is not None:
+                        sink.prunes.append((tuple(path) + (nxt,), m1, len(path)))
+                    break
+            else:
+                extended = True
+                path.append(nxt)
+                visit(path)
+                path.pop()
+        if not extended and sink is not None:
+            sink.paths.append(tuple(path))
+
+    visit([i0])
+    return visited, truncated
+
+
 class UnknownWherePHolds:
     name = "p-unknown"
 
@@ -436,6 +474,54 @@ class TestWalkerTwins:
                 assert m1 < m2 == len(path) - 1
                 assert sim(path[m1], path[m2])
                 assert not any(sim(path[k], path[m2]) for k in range(m1))
+
+
+class TestBitsetWalker:
+    """The bitset walker against its list-scan twin, over every start."""
+
+    @pytest.mark.parametrize("signature", WALK_SIGNATURES)
+    def test_walkers_agree_at_every_step_cap(self, signature):
+        _, space = walk_space(signature)
+        states = space.states
+        succ = _small_successors(space, range(len(states)))
+        sim = functools.cache(lambda a, b: bool(simulates(states[a], states[b])))
+        simulators = [sum(1 << k for k in range(len(states)) if sim(k, j))
+                      for j in range(len(states))]
+        for steps in [*range(1, 31), 2000]:
+            for i in range(len(states)):
+                want = EfficientPaths([], [], False)
+                _, want.truncated = list_scan_walk(i, succ, sim, steps, want)
+                got = efficient_paths(i, space, Caps(path_steps=steps))
+                assert got == want
+                masks = _SimMasks(states)
+                assert _walk(i, succ, masks, steps) == list_scan_walk(i, succ, sim, steps)
+                # the walk tests every path state against its successor, so
+                # each such pair must be decided, and decided right
+                for path in got.paths + [path for path, _, _ in got.prunes]:
+                    before = 0
+                    for k, j in zip(path, path[1:]):
+                        before |= 1 << k
+                        assert masks.decided[j] & before == before
+                assert masks.yes == [m & d for m, d in zip(simulators, masks.decided)]
+
+
+class TestCaps:
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Caps)])
+    def test_every_cap_below_one_is_refused(self, name, value):
+        with pytest.raises(SpaceError, match=rf"\(got {value}\)$"):
+            Caps(**{name: value})
+
+    def test_oracle_caps_keep_their_messages(self):
+        with pytest.raises(SpaceError, match=r"^oracle world cap must be at least 1 \(got 0\)$"):
+            Caps(oracle_worlds=0)
+        with pytest.raises(SpaceError,
+                           match=r"^oracle model budget must be at least 1 \(got -1\)$"):
+            Caps(oracle_budget=-1)
+
+    def test_caps_of_one_are_accepted(self):
+        ones = Caps(**{f.name: 1 for f in dataclasses.fields(Caps)})
+        assert ones.path_steps == ones.max_states == 1
 
 
 class TestSatisfy:
