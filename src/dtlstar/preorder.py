@@ -14,7 +14,7 @@ import functools
 import itertools
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .util import Verdict, OK, bits, fail
+from .util import Verdict, OK, bits, choices, fail
 
 
 class PreorderError(ValueError):
@@ -280,28 +280,10 @@ def _down_vectors(n: int) -> Iterator[tuple[int, ...]]:
     down[j] subset of down[i].
     """
     masks_with = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
-    chosen: list[int] = []
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(chosen)
-            return
-        for m in masks_with[i]:
-            ok = True
-            for j in range(i):
-                dj = chosen[j]
-                if m >> j & 1 and dj & ~m:
-                    ok = False
-                    break
-                if dj >> i & 1 and m & ~dj:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(m)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    yield from extend(0)
+    return choices(n, lambda i, chosen: [
+        m for m in masks_with[i]
+        if not any(m >> j & 1 and dj & ~m or dj >> i & 1 and m & ~dj
+                   for j, dj in enumerate(chosen))])
 
 
 def enumerate_preorders(n: int, up_to_iso: bool = True) -> Iterator[Preorder]:
@@ -333,28 +315,20 @@ def _from_down(names: tuple[str, ...], down: tuple[int, ...]) -> Preorder:
 
 def monotone_maps(p: Preorder) -> Iterator[dict[str, str]]:
     """All order-preserving self-maps, in deterministic order."""
-    n = len(p.worlds)
-    chosen: list[int] = []
+    down, up = p.down, p.up
 
-    def extend(i: int) -> Iterator[dict[str, str]]:
-        if i == n:
-            yield {p.worlds[k]: p.worlds[chosen[k]] for k in range(n)}
-            return
-        for t in range(n):
-            ok = True
-            for j in range(i):
-                if p.down[i] >> j & 1 and not p.down[t] >> chosen[j] & 1:
-                    ok = False
-                    break
-                if p.down[j] >> i & 1 and not p.down[chosen[j]] >> t & 1:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(t)
-                yield from extend(i + 1)
-                chosen.pop()
+    def targets(i: int, chosen: list[int]) -> Iterator[int]:
+        # j below i needs f(j) below f(i); i below j needs f(i) below f(j)
+        mask = p.full
+        for j, t in enumerate(chosen):
+            if down[i] >> j & 1:
+                mask &= up[t]
+            if down[j] >> i & 1:
+                mask &= down[t]
+        return bits(mask)
 
-    yield from extend(0)
+    for fi in choices(len(p.worlds), targets):
+        yield {w: p.worlds[t] for w, t in zip(p.worlds, fi)}
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,7 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
 # Bit-sliced model search.
 
 _VAR, _NEG, _AND, _NEXT, _HENCE, _TANGLE = range(6)
+_OPS = {Var: _VAR, Neg: _NEG, And: _AND, Next: _NEXT, Hence: _HENCE, Tangle: _TANGLE}
 
 
 def first_model(
@@ -390,28 +391,15 @@ def _compile(formula: Formula, vars: Sequence[str]) -> list[tuple]:
     nodes = postorder(formula)
     at = {g: i for i, g in enumerate(nodes)}
     slot = {name: i for i, name in enumerate(vars)}
-    prog: list[tuple] = []
-    for g in nodes:
-        if isinstance(g, Var):
-            prog.append((_VAR, slot.get(g.name), ()))
-        elif isinstance(g, Neg):
-            prog.append((_NEG, None, (at[g.sub],)))
-        elif isinstance(g, And):
-            prog.append((_AND, None, (at[g.left], at[g.right])))
-        elif isinstance(g, Next):
-            prog.append((_NEXT, None, (at[g.sub],)))
-        elif isinstance(g, Hence):
-            prog.append((_HENCE, None, (at[g.sub],)))
-        elif isinstance(g, Tangle):
-            prog.append((_TANGLE, None, tuple(at[m] for m in g.members)))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return prog
+    return [(_OPS[type(g)], slot.get(g.name) if isinstance(g, Var) else None,
+             tuple(at[k] for k in g.kids)) for g in nodes]
 
 
 def _bit_plane(b: int, width: int) -> int:
     """The valuation indices below ``width`` that have bit ``b`` set."""
     h = 1 << b
+    if h >= width:
+        return 0
     span = -(-width // (2 * h)) * 2 * h
     # all-ones over whole periods of 2h, divided by 2^h + 1, repeats h ones
     return (((1 << span) - 1) // ((1 << h) + 1) << h) & ((1 << width) - 1)

@@ -10,6 +10,7 @@ all simulations, so root-relatedness in it decides the simulates-question.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .semantics import DynModel
@@ -19,14 +20,27 @@ from .util import Verdict, bits, fail
 
 @dataclass(frozen=True)
 class SimRelation:
-    """Witnessing relation: pairs of (source world, target world)."""
+    """Witnessing relation: per source world, the mask of the target worlds
+    it is related to."""
 
-    pairs: frozenset
+    masks: tuple[int, ...]
     source_worlds: tuple
     target_worlds: tuple
 
+    @functools.cached_property
+    def pairs(self) -> frozenset:
+        """The relation as (source world, target world) pairs."""
+        return frozenset(
+            (self.source_worlds[w], self.target_worlds[v])
+            for w, m in enumerate(self.masks)
+            for v in bits(m)
+        )
+
     def related(self, w: str, v: str) -> bool:
-        return (w, v) in self.pairs
+        if w not in self.source_worlds or v not in self.target_worlds:
+            return False
+        return bool(self.masks[self.source_worlds.index(w)]
+                    >> self.target_worlds.index(v) & 1)
 
 
 def _refine(
@@ -65,12 +79,7 @@ def greatest_simulation(a: TypedPreorder, b: TypedPreorder) -> SimRelation:
         worlds_b[t] = worlds_b.get(t, 0) | 1 << j
     initial = [worlds_b.get(t, 0) for t in a.types]
     rel = _refine(a, b.space.down, initial)
-    pairs = frozenset(
-        (a.space.worlds[w], b.space.worlds[v])
-        for w in range(len(rel))
-        for v in bits(rel[w])
-    )
-    return SimRelation(pairs, a.space.worlds, b.space.worlds)
+    return SimRelation(tuple(rel), a.space.worlds, b.space.worlds)
 
 
 def simulates(w: State, v: State) -> Verdict:
@@ -106,12 +115,7 @@ def simulates_in_model(st: State, model: DynModel, x: str) -> Verdict:
     Pairs must satisfy the source world's whole type at the target point.
     """
     rel = _model_relation(st, model)
-    pairs = frozenset(
-        (st.space.worlds[w], model.space.worlds[v])
-        for w in range(len(rel))
-        for v in bits(rel[w])
-    )
-    witness = SimRelation(pairs, st.space.worlds, model.space.worlds)
+    witness = SimRelation(tuple(rel), st.space.worlds, model.space.worlds)
     if rel[st.space.index[st.root]] >> model.space.index[x] & 1:
         return Verdict(True, "", witness)
     return fail("state does not embed at the point", witness)

@@ -150,19 +150,23 @@ def has_type_containing(f: Formula) -> bool:
             return True
         return None
 
-    def search(depth: int) -> bool:
+    # depth-first over the atoms in order, True before False; the atoms
+    # chosen so far are atoms[:depth], the rest are None
+    depth = 0
+    while True:
         v = verdict()
-        if v is not None:
-            return v
-        i = atoms[depth]
-        for choice in (True, False):
-            val[i] = choice
-            if search(depth + 1):
-                return True
-        val[i] = None
-        return False
-
-    return search(0)
+        if v:
+            return True
+        if v is None:
+            val[atoms[depth]] = True
+            depth += 1
+            continue
+        while depth and val[atoms[depth - 1]] is False:
+            depth -= 1
+            val[atoms[depth]] = None
+        if not depth:
+            return False
+        val[atoms[depth - 1]] = False
 
 
 class TypedPreorder:

@@ -61,7 +61,7 @@ from .quasimodel import (
     validate_quasimodel,
 )
 from .syntax import Formula, Neg, formula_length, to_text, variables
-from .util import Verdict, bits, fail
+from .util import Verdict, bits, choices, fail
 
 # simulation's refinement loop drives the successor search as well
 from .simulation import _refine, simulated_points_mask
@@ -221,8 +221,7 @@ def enumerate_phi_states(
         for shape, tops in _rooted_shapes(n):
             if shape.norm()[2] > bound:
                 continue
-            cluster_list = shape.cluster_masks()
-            for assign in _type_assignments(shape, cluster_list, types):
+            for assign in _type_assignments(shape, types):
                 tp = TypedPreorder(shape, list(assign))
                 if not validate_typing(tp):
                     continue
@@ -242,31 +241,15 @@ def enumerate_phi_states(
     return out, complete, notes
 
 
-def _type_assignments(shape: Preorder, clusters: Sequence[int], types: Sequence) -> Iterator[tuple]:
+def _type_assignments(shape: Preorder, types: Sequence) -> Iterator[tuple]:
     """Assign a type per world, distinct within each cluster."""
-    n = len(shape.worlds)
-    cluster_of = [0] * n
-    for ci, c in enumerate(clusters):
-        for i in bits(c):
-            cluster_of[i] = ci
-    chosen: list = [None] * n
+    earlier = [shape.cluster_mask(i) & ((1 << i) - 1) for i in range(len(shape.worlds))]
 
-    def extend(i: int) -> Iterator[tuple]:
-        if i == n:
-            yield tuple(chosen)
-            return
-        for t in types:
-            ok = True
-            for j in range(i):
-                if cluster_of[j] == cluster_of[i] and chosen[j] == t:
-                    ok = False
-                    break
-            if ok:
-                chosen[i] = t
-                yield from extend(i + 1)
-        chosen[i] = None
+    def allowed(i: int, chosen: list) -> Iterator:
+        taken = [chosen[j] for j in bits(earlier[i])]
+        return (t for t in types if t not in taken)
 
-    yield from extend(0)
+    return choices(len(shape.worlds), allowed)
 
 
 def _substate_pairs(states: Sequence[State]) -> tuple[set[tuple[int, int]], list[int]]:

@@ -32,12 +32,18 @@ class ParseError(ValueError):
 
 
 class Formula:
-    """Base class; all nodes are immutable with cached structural keys."""
+    """Base class; all nodes are immutable with cached structural keys.
+    ``kids`` are a node's immediate subformulas, and ``rebuild(kids)`` makes
+    the node of the same connective over new ones."""
 
     __slots__ = ("_key", "_hash")
 
     _key: tuple
     _hash: int
+    kids: tuple
+
+    def rebuild(self, kids: Iterable[Formula]) -> Formula:
+        return type(self)(*kids)
 
     def sort_key(self) -> tuple:
         return self._key
@@ -59,20 +65,34 @@ class Formula:
 
 class Var(Formula):
     __slots__ = ("name",)
+    kids = ()
 
     def __init__(self, name: str):
         self.name = name
         self._key = (0, name)
         self._hash = hash(self._key)
 
+    def rebuild(self, kids: Iterable[Formula]) -> Formula:
+        return self
 
-class Neg(Formula):
+
+class _Unary(Formula):
     __slots__ = ("sub",)
+    _tag: int
 
     def __init__(self, sub: Formula):
         self.sub = sub
-        self._key = (1, sub._key)
+        self._key = (self._tag, sub._key)
         self._hash = hash(self._key)
+
+    @property
+    def kids(self) -> tuple[Formula]:
+        return (self.sub,)
+
+
+class Neg(_Unary):
+    __slots__ = ()
+    _tag = 1
 
 
 class And(Formula):
@@ -84,23 +104,19 @@ class And(Formula):
         self._key = (2, left._key, right._key)
         self._hash = hash(self._key)
 
-
-class Next(Formula):
-    __slots__ = ("sub",)
-
-    def __init__(self, sub: Formula):
-        self.sub = sub
-        self._key = (3, sub._key)
-        self._hash = hash(self._key)
+    @property
+    def kids(self) -> tuple[Formula, Formula]:
+        return (self.left, self.right)
 
 
-class Hence(Formula):
-    __slots__ = ("sub",)
+class Next(_Unary):
+    __slots__ = ()
+    _tag = 3
 
-    def __init__(self, sub: Formula):
-        self.sub = sub
-        self._key = (4, sub._key)
-        self._hash = hash(self._key)
+
+class Hence(_Unary):
+    __slots__ = ()
+    _tag = 4
 
 
 class Tangle(Formula):
@@ -115,6 +131,13 @@ class Tangle(Formula):
         self.members = tuple(seen[k] for k in sorted(seen))
         self._key = (5, tuple(m._key for m in self.members))
         self._hash = hash(self._key)
+
+    @property
+    def kids(self) -> tuple[Formula, ...]:
+        return self.members
+
+    def rebuild(self, kids: Iterable[Formula]) -> Formula:
+        return Tangle(kids)
 
 
 # Abbreviation builders.  These expand to primitive nodes.
@@ -191,13 +214,7 @@ def subformulas(obj: Formula | Iterable[Formula]) -> frozenset[Formula]:
         if f in out:
             continue
         out.add(f)
-        if isinstance(f, (Neg, Next, Hence)):
-            stack.append(f.sub)
-        elif isinstance(f, And):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, Tangle):
-            stack.extend(f.members)
+        stack.extend(f.kids)
     return frozenset(out)
 
 
@@ -215,13 +232,7 @@ def postorder(f: Formula) -> list[Formula]:
             out.append(g)
             continue
         stack.append((g, True))
-        if isinstance(g, (Neg, Next, Hence)):
-            stack.append((g.sub, False))
-        elif isinstance(g, And):
-            stack.append((g.right, False))
-            stack.append((g.left, False))
-        elif isinstance(g, Tangle):
-            stack.extend((m, False) for m in reversed(g.members))
+        stack.extend((k, False) for k in reversed(g.kids))
     return out
 
 
@@ -256,21 +267,18 @@ def variables(obj: Formula | Iterable[Formula]) -> frozenset[str]:
     return frozenset(f.name for f in subformulas(obj) if isinstance(f, Var))
 
 
+def _replace(f: Formula, swap: Callable[[Formula], Formula | None]) -> Formula:
+    """``f`` with each outermost subformula ``g`` for which ``swap(g)`` is a
+    formula replaced by that formula."""
+    out = swap(f)
+    if out is not None:
+        return out
+    return f.rebuild([_replace(k, swap) for k in f.kids])
+
+
 def substitute(f: Formula, sigma: Mapping[str, Formula]) -> Formula:
     """Simultaneous replacement of variables by formulas."""
-    if isinstance(f, Var):
-        return sigma.get(f.name, f)
-    if isinstance(f, Neg):
-        return Neg(substitute(f.sub, sigma))
-    if isinstance(f, And):
-        return And(substitute(f.left, sigma), substitute(f.right, sigma))
-    if isinstance(f, Next):
-        return Next(substitute(f.sub, sigma))
-    if isinstance(f, Hence):
-        return Hence(substitute(f.sub, sigma))
-    if isinstance(f, Tangle):
-        return Tangle(substitute(m, sigma) for m in f.members)
-    raise TypeError(f"not a formula: {f!r}")
+    return _replace(f, lambda g: sigma.get(g.name, g) if isinstance(g, Var) else None)
 
 
 def fresh_names(used: Iterable[str], prefix: str = "q") -> Iterator[str]:
@@ -292,26 +300,15 @@ def q_transform(
     the inverse substitution (variable name back to the replaced ``G d``),
     so that substituting back recovers the input exactly.
     """
-    bodies: list[Formula] = []
-
-    def collect(g: Formula) -> None:
+    found: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, Hence):
-            if g.sub not in bodies:
-                bodies.append(g.sub)
-            return
-        if isinstance(g, Neg):
-            collect(g.sub)
-        elif isinstance(g, And):
-            collect(g.left)
-            collect(g.right)
-        elif isinstance(g, Next):
-            collect(g.sub)
-        elif isinstance(g, Tangle):
-            for m in g.members:
-                collect(m)
-
-    collect(f)
-    bodies.sort(key=Formula.sort_key)
+            found.add(g.sub)
+        else:
+            stack.extend(g.kids)
+    bodies = sorted_formulas(found)
     if fresh is None:
         gen = fresh_names(variables(f))
         names = [next(gen) for _ in bodies]
@@ -320,24 +317,8 @@ def q_transform(
         if len(set(names)) != len(names):
             raise ValueError("fresh allocator returned duplicate names")
     name_of = {d: n for d, n in zip(bodies, names)}
-
-    def rewrite(g: Formula) -> Formula:
-        if isinstance(g, Hence):
-            return Var(name_of[g.sub])
-        if isinstance(g, Var):
-            return g
-        if isinstance(g, Neg):
-            return Neg(rewrite(g.sub))
-        if isinstance(g, And):
-            return And(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Next):
-            return Next(rewrite(g.sub))
-        if isinstance(g, Tangle):
-            return Tangle(rewrite(m) for m in g.members)
-        raise TypeError(f"not a formula: {g!r}")
-
     inverse = {name_of[d]: Hence(d) for d in bodies}
-    return rewrite(f), inverse
+    return _replace(f, lambda g: Var(name_of[g.sub]) if isinstance(g, Hence) else None), inverse
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +364,45 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # default recursion limit; one level more is a ParseError.
 MAX_NESTING = 100
 
+# The tallest syntax tree the parser accepts, in connectives on the longest
+# branch.  Chains of "&" and "|" make tall trees from shallow text, and the
+# printer, the evaluator and the comparison of sort keys recurse up to two
+# frames per level.  Under Python's default recursion limit the worst
+# shapes (chains of "|" and of prefix operators) fail past about 490 levels
+# in ``satisfy`` from the command line and past 478 in ``parse`` from a test
+# runner's stack; this bound leaves the caller about fifty frames.  A nest
+# of MAX_NESTING prefix operators or "->" is at most 300 tall ("F", "[]" and
+# "->" expand to three levels each), so the bound refuses none of them.
+MAX_HEIGHT = 450
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        # id(node) -> (height, node); holding the node keeps its id unique.
+        # No token adds more than four levels ("<->"), so a short text
+        # needs no count.
+        self.heights: dict[int, tuple[int, Formula]] | None = \
+            {} if 4 * len(self.tokens) > MAX_HEIGHT else None
+
+    def within_height(self, f: Formula) -> Formula:
+        """``f``, or a ParseError when it is taller than ``MAX_HEIGHT``."""
+        heights = self.heights
+        if heights is None:
+            return f
+
+        def height(g: Formula) -> int:
+            got = heights.get(id(g))
+            if got is None:
+                got = heights[id(g)] = (1 + max(map(height, g.kids), default=-1), g)
+            return got[0]
+
+        if height(f) > MAX_HEIGHT:
+            raise ParseError(f"formula taller than {MAX_HEIGHT} levels",
+                             self.tokens[self.i][2])
+        return f
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -409,28 +423,28 @@ class _Parser:
         a = self.imp()
         while self.peek() == "iff":
             self.next()
-            a = iff(a, self.imp())
+            a = self.within_height(iff(a, self.imp()))
         return a
 
     def imp(self) -> Formula:
         a = self.or_()
         if self.peek() == "imp":
             self.next()
-            return implies(a, self.nested(self.imp))
+            return self.within_height(implies(a, self.nested(self.imp)))
         return a
 
     def or_(self) -> Formula:
         a = self.and_()
         while self.peek() == "|":
             self.next()
-            a = or_(a, self.and_())
+            a = self.within_height(or_(a, self.and_()))
         return a
 
     def and_(self) -> Formula:
         a = self.unary()
         while self.peek() == "&":
             self.next()
-            a = And(a, self.unary())
+            a = self.within_height(And(a, self.unary()))
         return a
 
     def nested(self, parse: Callable[[], Formula]) -> Formula:
@@ -480,7 +494,7 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
+    f = p.within_height(p.formula())
     p.expect("eof")
     return f
 

@@ -1,9 +1,10 @@
-"""Shared helpers: bitmask world sets and check verdicts."""
+"""Shared helpers: bitmask world sets, a backtracking enumerator and check
+verdicts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -12,6 +13,30 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def choices(n: int, allowed: Callable[[int, list], Iterable]) -> Iterator[tuple]:
+    """Every n-tuple whose entry i is drawn from ``allowed(i, chosen)``, depth
+    first and in the order ``allowed`` lists them.  ``chosen`` holds entries
+    0..i-1 and changes as the search moves, so ``allowed`` reads it at once."""
+    if n == 0:
+        yield ()
+        return
+    chosen: list = []
+    stack = [iter(allowed(0, chosen))]
+    while stack:
+        for x in stack[-1]:
+            chosen.append(x)
+            if len(chosen) == n:
+                yield tuple(chosen)
+                chosen.pop()
+            else:
+                stack.append(iter(allowed(len(chosen), chosen)))
+                break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
 
 @dataclass(frozen=True)

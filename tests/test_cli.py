@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from dtlstar.cli import main
-from dtlstar.syntax import MAX_NESTING
+from dtlstar.syntax import MAX_HEIGHT, MAX_NESTING
 
 
 @pytest.fixture
@@ -188,6 +188,54 @@ class TestCommands:
         assert code == 0 and json.loads(out)["formula"] == printed
         code, out, err = run(capsys, "parse", shape(MAX_NESTING + 1))
         assert code == 2 and out == "" and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["parse", "eval", "satisfy"])
+    @pytest.mark.parametrize("formula", [
+        " | ".join(["p"] * 300),
+        " & ".join(["p"] * 1000),
+        " & ".join(f"p{i}" for i in range(1000)),
+    ], ids=["or300", "and1000", "vars1000"])
+    def test_long_chains_refused(self, capsys, chain_model_file, command, formula):
+        argv = {"parse": ["parse", formula], "satisfy": ["satisfy", formula],
+                "eval": ["eval", "--model", chain_model_file, "--formula", formula]}[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"taller than {MAX_HEIGHT} levels" in err
+
+    @pytest.mark.parametrize("shape", [
+        lambda h: "p & " * h + "p",
+        lambda h: "~" * (h % 3) + "(" + " | ".join(["p"] * (h // 3 + 1)) + ")",
+    ], ids=["and", "or"])
+    def test_formula_at_the_height_limit(self, capsys, chain_model_file, shape):
+        code, out, _ = run(capsys, "parse", shape(MAX_HEIGHT))
+        assert code == 0
+        printed = json.loads(out)["formula"]
+        code, out, _ = run(capsys, "eval", "--model", chain_model_file,
+                           "--formula", shape(MAX_HEIGHT))
+        assert code == 0 and json.loads(out)["formula"] == printed
+        code, out, err = run(capsys, "parse", shape(MAX_HEIGHT + 1))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"taller than {MAX_HEIGHT} levels" in err
+
+    @pytest.mark.parametrize("n", [24, 200])
+    def test_satisfy_many_variables(self, capsys, n):
+        # 2^n valuations per skeleton; the search reads only the budget's worth
+        code, out, err = run(capsys, "satisfy", " & ".join(f"p{i}" for i in range(n)))
+        assert code == 1 and err == ""
+        assert json.loads(out)["verdict"] == "no-witness-found"
+
+    def test_satisfy_balanced_conjunction(self, capsys):
+        # 1,024 atoms, eleven levels: the type search backtracks over every atom
+        def balanced(lo, hi):
+            if hi - lo == 1:
+                return f"p{lo}"
+            mid = (lo + hi) // 2
+            return f"({balanced(lo, mid)} & {balanced(mid, hi)})"
+
+        code, out, err = run(capsys, "satisfy", balanced(0, 1024))
+        assert code == 1 and err == ""
+        assert json.loads(out)["verdict"] == "no-witness-found"
 
     def test_check_model_missing_key_exit_1(self, capsys, tmp_path):
         path = tmp_path / "model.json"

@@ -10,12 +10,13 @@ from dtlstar.preorder import (
     is_continuous_map,
     is_continuous_relation,
     monotone_maps,
+    _down_vectors,
 )
 from dtlstar.quasimodel import quasimodel_from_json, quasimodel_of_model, quasimodel_to_json
 from dtlstar.semantics import model_from_json, model_to_json, random_model
 from dtlstar.states import state_from_json, state_of_model_point, state_to_json
 from dtlstar.syntax import parse
-from dtlstar.util import bits
+from dtlstar.util import bits, choices
 
 
 def chain():
@@ -210,6 +211,39 @@ class TestShapeTwins:
                 i = next(bits(c))
                 assert below[ci] == tuple(d for d, m in enumerate(cms)
                                           if m != c and p.down[i] & m)
+
+
+class TestEnumerationTwins:
+    """The backtracking enumerators against filtered products, in order."""
+
+    def test_choices_is_the_filtered_product(self):
+        assert list(choices(0, lambda i, chosen: [])) == [()]
+        assert list(choices(2, lambda i, chosen: [])) == []
+        assert list(choices(3, lambda i, chosen: range(3))) == \
+            list(itertools.product(range(3), repeat=3))
+        # strictly increasing: entry i depends on the entries before it
+        assert list(choices(3, lambda i, chosen: range(chosen[-1] + 1 if chosen else 0, 5))) \
+            == list(itertools.combinations(range(5), 3))
+
+    def test_down_vectors(self):
+        for n in range(1, 5):
+            slow = [
+                down for down in itertools.product(range(1 << n), repeat=n)
+                if all(down[i] >> i & 1 for i in range(n))
+                and all(down[j] & ~down[i] == 0
+                        for i in range(n) for j in bits(down[i]))
+            ]
+            assert list(_down_vectors(n)) == slow
+
+    def test_monotone_maps(self):
+        for p in labelled_preorders():
+            n = len(p)
+            slow = [
+                f for f in (dict(zip(p.worlds, (p.worlds[t] for t in fi)))
+                            for fi in itertools.product(range(n), repeat=n))
+                if is_continuous_map(p, f)
+            ]
+            assert list(monotone_maps(p)) == slow, p.down
 
 
 class TestJsonBlocks:

@@ -296,6 +296,20 @@ class TestFirstModel:
             for model in pool:
                 model.clear_cache()
 
+    def test_budget_below_one_skeleton(self):
+        # one world and 40 variables: a skeleton has 2^40 valuations, so the
+        # search slices off the first ``budget`` and the planes of the high
+        # valuation bits are empty
+        names = [f"p{i}" for i in range(40)]
+        pool = list(itertools.islice(enumerate_models(1, names), 1100))
+        for text in ("p39 & ~p38", "p30 & p39", "p0", "~p39 & p5"):
+            f = parse(text)
+            for budget in (1, 7, 100, 1025, 1099):
+                want = scan(f, pool, budget)
+                got = first_model(f, 1, names, budget)
+                assert (got[0], got[1] and model_to_json(got[1]), got[2]) == \
+                    (want[0], want[1] and model_to_json(want[1]), want[2]), (text, budget)
+
     def test_templates_need_the_pool_they_are_meant_for(self):
         names = ("p", "q")
         for text in SEARCH_TEMPLATES[:5]:

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import pytest
 
-from dtlstar.preorder import Preorder
+from dtlstar.preorder import Preorder, enumerate_preorders
 from dtlstar.quasimodel import eventualities_of, is_sensible_pair, validate_quasimodel
 from dtlstar.semantics import DynModel, model_from_json, random_model
 from dtlstar.simulation import simulates
@@ -28,6 +29,7 @@ from dtlstar.statespace import (
     temporal_successor,
     _SimMasks,
     _small_successors,
+    _type_assignments,
     _walk,
 )
 from dtlstar.states import (
@@ -107,6 +109,20 @@ class TestEnumerateStates:
                 assert is_sensible_pair(
                     space.states[i].type_of(w), space.states[j].type_of(u)
                 )
+
+
+class TestTypeAssignments:
+    def test_matches_filtered_product(self):
+        # every labelled shape of up to three worlds, with up to four types
+        pool = [frozenset([Var(f"t{i}")]) for i in range(4)]
+        for n in range(1, 4):
+            for shape in enumerate_preorders(n, up_to_iso=False):
+                for k in range(1, 5):
+                    types = pool[:k]
+                    slow = [a for a in itertools.product(types, repeat=n)
+                            if all(a[i] != a[j] for i in range(n) for j in range(i)
+                                   if shape.cluster_mask(i) >> j & 1)]
+                    assert list(_type_assignments(shape, types)) == slow
 
 
 class TestTemporalSuccessor:

@@ -19,6 +19,7 @@ from dtlstar.syntax import (
     negated,
     parse,
     pm_contains,
+    postorder,
     q_transform,
     sub_pm,
     subformulas,
@@ -184,6 +185,47 @@ class TestRoundTrip:
     def test_sub_idempotent(self, f):
         fs = subformulas([f])
         assert subformulas(fs) == fs
+
+
+def children(f):
+    """A node's immediate subformulas, one case per connective."""
+    if isinstance(f, Var):
+        return ()
+    if isinstance(f, (Neg, Next, Hence)):
+        return (f.sub,)
+    if isinstance(f, And):
+        return (f.left, f.right)
+    return f.members
+
+
+def slow_postorder(f):
+    out, done = [], set()
+
+    def visit(g):
+        if g in done:
+            return
+        for k in children(g):
+            visit(k)
+        done.add(g)
+        out.append(g)
+
+    visit(f)
+    return out
+
+
+class TestKids:
+    """``kids``, ``rebuild`` and ``postorder`` against a case per connective."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(formulas())
+    def test_kids_rebuild_and_postorder(self, f):
+        for g in subformulas(f):
+            assert g.kids == children(g)
+            assert g.rebuild(g.kids) == g
+        order = postorder(f)
+        assert order == slow_postorder(f)
+        at = {g: i for i, g in enumerate(order)}
+        assert all(at[k] < at[g] for g in order for k in g.kids)
 
 
 class TestHelpers:
