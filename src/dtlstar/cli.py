@@ -185,9 +185,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if v else 1
 
     if args.command == "enumerate":
-        if args.limit < 1:
-            print(f"error: --limit must be at least 1 (got {args.limit})", file=sys.stderr)
-            return 2
+        for flag, value in (("--max-worlds", args.max_worlds), ("--limit", args.limit)):
+            if value < 1:
+                print(f"error: {flag} must be at least 1 (got {value})", file=sys.stderr)
+                return 2
         vars_ = [s for s in args.vars.split(",") if s]
         stream = enumerate_models(args.max_worlds, vars_)
         if args.count_only:

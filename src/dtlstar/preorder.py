@@ -111,9 +111,6 @@ class Preorder:
     def is_open_mask(self, mask: int) -> bool:
         return all(self.down[i] & ~mask == 0 for i in bits(mask))
 
-    def is_open(self, worlds: Iterable[str]) -> bool:
-        return self.is_open_mask(self.mask_of(worlds))
-
     # -- clusters -----------------------------------------------------------
 
     def cluster_mask(self, i: int) -> int:
@@ -197,15 +194,18 @@ class Preorder:
         return self._auts
 
 
+def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
+    """``mask`` with each world index i moved to ``perm[i]``."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << perm[i]
+    return out
+
+
 def _permute_down(down: tuple[int, ...] | list[int], perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(down)
-    out = [0] * n
-    for i in range(n):
-        m = 0
-        d = down[i]
-        for j in bits(d):
-            m |= 1 << perm[j]
-        out[perm[i]] = m
+    out = [0] * len(down)
+    for i, d in enumerate(down):
+        out[perm[i]] = permute_mask(d, perm)
     return tuple(out)
 
 

@@ -173,11 +173,6 @@ class ProofStep:
 class ProofObject:
     steps: list[ProofStep]
 
-    def conclusion(self) -> Formula:
-        if not self.steps:
-            raise ProofError("empty proof")
-        return self.steps[-1].formula
-
 
 def check_proof(proof: ProofObject) -> Verdict:
     """Verify every step; the witness of a failure is the 1-based step index."""
@@ -374,11 +369,10 @@ def random_axiom_instance(
     return name, axiom_instance(name, inst)
 
 
-def _harness_trial(seed: int, trial: int, max_worlds: int, depth: int,
-                   gamma_max: int, vars: Sequence[str]) -> dict | None:
+def _harness_trial(seed: int, trial: int, max_worlds: int) -> dict | None:
     trial_rng = random.Random((seed, trial).__hash__())
-    model = random_model(trial_rng, max_worlds, vars)
-    name, instance = random_axiom_instance(trial_rng, vars, depth, gamma_max)
+    model = random_model(trial_rng, max_worlds, ("p", "q", "r"))
+    name, instance = random_axiom_instance(trial_rng)
     if not model.is_valid(instance):
         return {
             "trial": trial, "kind": "axiom", "schema": name,
@@ -396,10 +390,10 @@ def _harness_trial(seed: int, trial: int, max_worlds: int, depth: int,
 
 
 def _harness_chunk(args: tuple) -> list[dict]:
-    seed, lo, hi, max_worlds, depth, gamma_max, vars = args
+    seed, lo, hi, max_worlds = args
     out = []
     for trial in range(lo, hi):
-        v = _harness_trial(seed, trial, max_worlds, depth, gamma_max, vars)
+        v = _harness_trial(seed, trial, max_worlds)
         if v is not None:
             out.append(v)
     return out
@@ -409,9 +403,6 @@ def soundness_harness(
     trials: int,
     seed: int = 0,
     max_worlds: int = 6,
-    depth: int = 4,
-    gamma_max: int = 3,
-    vars: Sequence[str] = ("p", "q", "r"),
     jobs: int = 1,
 ) -> dict:
     """Random axiom instances and rule applications over random models.
@@ -420,23 +411,22 @@ def soundness_harness(
     of a formula valid on a model must stay valid on that model.  Violations
     ship the countermodel; a clean report is the expected outcome.  Trials
     derive their randomness from (seed, trial index), so the report does not
-    depend on ``jobs``.
+    depend on ``jobs``.  ``trials``, ``max_worlds`` and ``jobs`` must be at
+    least 1.
     """
-    violations: list[dict] = []
+    for name, value in (("trials", trials), ("max_worlds", max_worlds), ("jobs", jobs)):
+        if value < 1:
+            raise ProofError(f"{name} must be at least 1 (got {value})")
     if jobs > 1 and trials > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        step = max(1, -(-trials // jobs))
-        chunks = [(seed, lo, min(lo + step, trials), max_worlds, depth,
-                   gamma_max, tuple(vars)) for lo in range(0, trials, step)]
+        step = -(-trials // jobs)
+        chunks = [(seed, lo, min(lo + step, trials), max_worlds)
+                  for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found in pool.map(_harness_chunk, chunks):
-                violations.extend(found)
+            violations = [v for found in pool.map(_harness_chunk, chunks) for v in found]
     else:
-        for trial in range(trials):
-            v = _harness_trial(seed, trial, max_worlds, depth, gamma_max, vars)
-            if v is not None:
-                violations.append(v)
+        violations = _harness_chunk((seed, 0, trials, max_worlds))
     violations.sort(key=lambda v: v["trial"])
     return {
         "trials": trials,

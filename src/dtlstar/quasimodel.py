@@ -98,9 +98,6 @@ class Quasimodel:
         ws = self.space.worlds
         return [(ws[i], ws[j]) for i in range(len(ws)) for j in bits(self.succ[i])]
 
-    def successors(self, w: str) -> frozenset[str]:
-        return self.space.ids_of(self.succ[self.space.index[w]])
-
     def __repr__(self) -> str:
         return f"Quasimodel({len(self.space.worlds)} worlds)"
 
@@ -270,11 +267,7 @@ def is_realizing(q: Quasimodel, path: Path) -> Verdict:
     types = [q.type_of(w) for w in path.worlds]
     for i in range(n):
         for ev, target in eventualities_of(types[i]):
-            later = range(i, n)
-            looped = range(path.loop, n)
-            if not any(t_contains(types[j], target) for j in later) and not any(
-                t_contains(types[j], target) for j in looped
-            ):
+            if not any(t_contains(types[j], target) for j in range(min(i, path.loop), n)):
                 return fail("eventuality unrealized on the lasso", (path.worlds[i], ev))
     return OK
 

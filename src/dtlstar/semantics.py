@@ -36,6 +36,7 @@ from .preorder import (
     enumerate_preorders,
     is_continuous_map,
     monotone_maps,
+    permute_mask,
     preorder_from_json,
     preorder_to_json,
 )
@@ -294,19 +295,12 @@ def enumerate_static_models(
             seen: set[tuple[int, ...]] = set()
             for val in _all_valuations(space, vars):
                 combo = tuple(val[v] for v in vars)
-                canon = min(tuple(_permute_mask(m, perm) for m in combo) for perm in auts) \
+                canon = min(tuple(permute_mask(m, perm) for m in combo) for perm in auts) \
                     if vars else ()
                 if canon in seen:
                     continue
                 seen.add(canon)
                 yield DynModel(space, ident, val)
-
-
-def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << perm[i]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ swapped behind ``sim_formula`` if a counterexample ever appears.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -54,20 +55,16 @@ from .syntax import (
 )
 from .util import bits
 
-_RAW_CACHE: dict[tuple, Formula] = {}
-_SIM_CACHE: dict[tuple, Formula] = {}
-
 
 def _conj_set(parts: Iterable[Formula]) -> Formula:
     return conj(set(parts))
 
 
+@functools.lru_cache(maxsize=4096)
 def raw_sim_formula(st: State) -> Formula:
-    """The recursive construction applied to the state's own types."""
-    key = st.canonical_key()
-    cached = _RAW_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The recursive construction applied to the state's own types.  States
+    hash and compare by canonical key, so the memo serves every state
+    isomorphic to one already built."""
     space = st.space
     ri = space.index[st.root]
     root_cluster = space.cluster_mask(ri)
@@ -82,9 +79,7 @@ def raw_sim_formula(st: State) -> Formula:
     for c in bits(root_cluster):
         members.append(_conj_set([conj(st.types[c])] + diamonds))
     top = [conj(st.types[ri])] + diamonds + [Tangle(members)]
-    out = _conj_set(top)
-    _RAW_CACHE[key] = out
-    return out
+    return _conj_set(top)
 
 
 def _indicator_typed(st: State) -> bool:
@@ -110,29 +105,23 @@ def _indicator_typed(st: State) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=4096)
 def sim_formula(st: State) -> Formula:
     """Formula defining "simulated by ``st``" on every finite model.
 
     Factored form: the indicator-state construction with indicators replaced
     by their type conjunctions.  Requires a distinctly typed state.
     """
-    key = st.canonical_key()
-    cached = _SIM_CACHE.get(key)
-    if cached is not None:
-        return cached
     verdict = distinctly_typed(st)
     if not verdict:
         raise StateError(f"state is not distinctly typed: {verdict.witness}")
     if any(not t for t in st.types):
         raise StateError("a world has an empty type; its conjunction has no formula form")
     if _indicator_typed(st):
-        out = raw_sim_formula(st)
-    else:
-        pst, var_types = state_p(st)
-        sigma = {name: conj(t) for name, t in var_types.items()}
-        out = substitute(raw_sim_formula(pst), sigma)
-    _SIM_CACHE[key] = out
-    return out
+        return raw_sim_formula(st)
+    pst, var_types = state_p(st)
+    sigma = {name: conj(t) for name, t in var_types.items()}
+    return substitute(raw_sim_formula(pst), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -157,73 +146,63 @@ class PropsubReport:
         return all(r.ok for r in self.items.values())
 
 
-def _find_countermodel(pool: Sequence[DynModel], ant: Formula | None, cons: Formula) -> dict | None:
-    for model in pool:
-        if ant is None:
-            am = model.space.full
-        else:
-            am = model.eval_mask(ant)
-            if not am:
-                continue
-        bad = am & ~model.eval_mask(cons)
-        if bad:
-            w = model.space.worlds[next(bits(bad))]
-            return {
-                "model": model_to_json(model),
-                "world": w,
-                "antecedent": to_text(ant) if ant is not None else None,
-                "consequent": to_text(cons),
-            }
-    return None
-
-
-def _unsatisfiable_on(pool: Sequence[DynModel], f: Formula) -> dict | None:
-    for model in pool:
-        m = model.eval_mask(f)
-        if m:
-            return {
-                "model": model_to_json(model),
-                "world": model.space.worlds[next(bits(m))],
-                "antecedent": to_text(f),
-                "consequent": None,
-            }
-    return None
-
-
-def _find_countermodel_disj(
+def _countermodel(
     pool: Sequence[DynModel],
     ant: Formula,
     disjuncts: Sequence[Formula],
+    consequent: Formula | str | None,
     through_next: bool = False,
 ) -> dict | None:
-    """Implication into a large disjunction, checked disjunct by disjunct.
+    """The first pool model with a world where ``ant`` holds and no disjunct
+    does, as a record naming ``consequent``; None when there is none.
 
-    Small disjuncts usually cover the antecedent within a few terms, so the
-    disjunction is never materialized as one formula.  ``through_next``
-    interposes the map preimage (the disjunction sits under a next).
+    Disjuncts are checked one by one, so a large disjunction is never
+    materialized as one formula, and an empty list asks whether ``ant`` is
+    satisfiable.  ``through_next`` interposes the map preimage (the
+    disjunction sits under a next).
     """
-    ordered = sorted(disjuncts, key=lambda f: (len(to_text(f)), f.sort_key()))
     for model in pool:
-        am = model.eval_mask(ant)
-        if not am:
-            continue
-        bad = am
-        for d in ordered:
+        bad = model.eval_mask(ant)
+        for d in disjuncts:
+            if not bad:
+                break
             dm = model.eval_mask(d)
             if through_next:
                 dm = model.preimage_mask(dm)
             bad &= ~dm
-            if not bad:
-                break
         if bad:
             return {
                 "model": model_to_json(model),
                 "world": model.space.worlds[next(bits(bad))],
                 "antecedent": to_text(ant),
-                "consequent": f"(lazy disjunction over {len(ordered)} terms"
-                              f"{' under next' if through_next else ''})",
+                "consequent": to_text(consequent) if isinstance(consequent, Formula)
+                else consequent,
             }
     return None
+
+
+def _lazy_countermodel(
+    pool: Sequence[DynModel], ant: Formula, disjuncts: Sequence[Formula],
+    through_next: bool = False,
+) -> dict | None:
+    """``_countermodel`` into the disjunction of ``disjuncts``, shortest first."""
+    ordered = sorted(disjuncts, key=lambda f: (len(to_text(f)), f.sort_key()))
+    what = (f"(lazy disjunction over {len(ordered)} terms"
+            f"{' under next' if through_next else ''})") if ordered else None
+    return _countermodel(pool, ant, ordered, what, through_next)
+
+
+def _first_countermodel(
+    pool: Sequence[DynModel], ant: Formula, consequents: Iterable[Formula]
+) -> ItemReport:
+    """Each consequent in turn, up to the first one with a countermodel."""
+    rep = ItemReport()
+    for cons in consequents:
+        rep.checked += 1
+        rep.countermodel = _countermodel(pool, ant, [cons], cons)
+        if rep.countermodel:
+            break
+    return rep
 
 
 def check_propsub(
@@ -249,60 +228,31 @@ def check_propsub(
     sim_w = sim_formula(st)
 
     if 1 in items:
-        rep = ItemReport()
-        for psi in sorted(st.root_type(), key=Formula.sort_key):
-            rep.checked += 1
-            rep.countermodel = _find_countermodel(pool, sim_w, psi)
-            if rep.countermodel:
-                break
-        report.items[1] = rep
-
+        report.items[1] = _first_countermodel(
+            pool, sim_w, sorted(st.root_type(), key=Formula.sort_key))
     if 2 in items:
-        rep = ItemReport()
-        for v in _simulated_variants(st):
-            rep.checked += 1
-            rep.countermodel = _find_countermodel(pool, sim_w, sim_formula(v))
-            if rep.countermodel:
-                break
-        report.items[2] = rep
-
+        report.items[2] = _first_countermodel(
+            pool, sim_w, (sim_formula(v) for v in _simulated_variants(st)))
     if 3 in items:
-        rep = ItemReport()
-        for v in substates(st):
-            rep.checked += 1
-            rep.countermodel = _find_countermodel(pool, sim_w, Tangle((sim_formula(v),)))
-            if rep.countermodel:
-                break
-        report.items[3] = rep
+        report.items[3] = _first_countermodel(
+            pool, sim_w, (Tangle((sim_formula(v),)) for v in substates(st)))
 
     if 4 in items:
         if i0_states is None:
             raise ValueError("item 4 needs the norm-bounded state list")
-        rep = ItemReport()
+        rep = report.items[4] = ItemReport()
         for psi in sorted(sub_pm(phi), key=Formula.sort_key):
             rep.checked += 1
-            disjuncts = [sim_formula(w) for w in i0_states if t_contains(w.root_type(), psi)]
-            if disjuncts:
-                rep.countermodel = _find_countermodel_disj(pool, psi, disjuncts)
-            else:
-                rep.countermodel = _unsatisfiable_on(pool, psi)
+            rep.countermodel = _lazy_countermodel(
+                pool, psi, [sim_formula(w) for w in i0_states if t_contains(w.root_type(), psi)])
             if rep.countermodel:
                 break
-        report.items[4] = rep
 
     if 5 in items:
         if successor_states is None:
             raise ValueError("item 5 needs the small temporal successor list")
-        rep = ItemReport()
-        rep.checked = 1
-        disjuncts = [sim_formula(v) for v in successor_states]
-        if disjuncts:
-            rep.countermodel = _find_countermodel_disj(
-                pool, sim_w, disjuncts, through_next=True
-            )
-        else:
-            rep.countermodel = _unsatisfiable_on(pool, sim_w)
-        report.items[5] = rep
+        report.items[5] = ItemReport(1, _lazy_countermodel(
+            pool, sim_w, [sim_formula(v) for v in successor_states], through_next=True))
 
     return report
 

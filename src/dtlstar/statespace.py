@@ -304,15 +304,12 @@ def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) ->
 # ---------------------------------------------------------------------------
 # Reduction into the base norm bound.
 
-def reduce_state(
-    st: State, phi: Iterable[Formula], extra_candidates: Sequence[State] = ()
-) -> State | None:
+def reduce_state(st: State, phi: Iterable[Formula]) -> State | None:
     """Find a norm-bounded state that simulates the given one.
 
-    Searches root-preserving restrictions first (dropping worlds preserves
-    the root type and can only shrink the norm), then any supplied
-    candidates.  Returns None
-    when the capped search fails; callers treat that as unknown.
+    Searches root-preserving restrictions (dropping worlds preserves the
+    root type and can only shrink the norm).  Returns None when the search
+    fails; callers treat that as unknown.
     """
     bound = _norm_bound(tuple(phi))
     if norm(st)[2] <= bound:
@@ -335,9 +332,6 @@ def reduce_state(
                 continue
             if simulates(cand, st):
                 return cand
-    for cand in extra_candidates:
-        if norm(cand)[2] <= bound and simulates(cand, st):
-            return cand
     return None
 
 
@@ -480,12 +474,10 @@ class ModelSearchOracle:
 
     name = "model-search"
 
-    def __init__(self, max_worlds: int = 3, budget: int = 50_000,
-                 hint_models: Sequence[DynModel] = ()):
+    def __init__(self, max_worlds: int = 3, budget: int = 50_000):
         _check_oracle_caps(max_worlds, budget)
         self.max_worlds = max_worlds
         self.budget = budget
-        self.hint_models = list(hint_models)
         self._cache: dict[tuple, ConsistencyVerdict] = {}
 
     def judge(self, st: State) -> ConsistencyVerdict:
@@ -494,29 +486,19 @@ class ModelSearchOracle:
         if hit is not None:
             return hit
         f = sim_formula(st)
-        out = None
-        for model in self.hint_models:
-            m = model.eval_mask(f)
-            if m:
-                x = model.space.worlds[next(bits(m))]
-                out = ConsistencyVerdict(
-                    "consistent", {"model": model_to_json(model), "point": x}, "hint model"
-                )
-                break
-        if out is None:
-            examined, model, x = first_model(f, self.max_worlds, sorted(variables(f)), self.budget)
-            if model is not None:
-                out = ConsistencyVerdict(
-                    "consistent", {"model": model_to_json(model), "point": x},
-                    f"model found after {examined}"
-                )
-            elif examined > self.budget:
-                out = ConsistencyVerdict("unknown", None, f"budget {self.budget} exhausted")
-            else:
-                out = ConsistencyVerdict(
-                    "unknown", None,
-                    f"no model with at most {self.max_worlds} worlds ({examined} searched)"
-                )
+        examined, model, x = first_model(f, self.max_worlds, sorted(variables(f)), self.budget)
+        if model is not None:
+            out = ConsistencyVerdict(
+                "consistent", {"model": model_to_json(model), "point": x},
+                f"model found after {examined}"
+            )
+        elif examined > self.budget:
+            out = ConsistencyVerdict("unknown", None, f"budget {self.budget} exhausted")
+        else:
+            out = ConsistencyVerdict(
+                "unknown", None,
+                f"no model with at most {self.max_worlds} worlds ({examined} searched)"
+            )
         self._cache[key] = out
         return out
 
@@ -537,11 +519,11 @@ class ProofWitnessOracle:
         return ConsistencyVerdict("unknown", None, "no matching derivation")
 
 
-def make_oracle(name: str, caps: Caps = Caps(), **kw) -> Any:
+def make_oracle(name: str, caps: Caps = Caps()) -> Any:
     if name == "trusting":
         return TrustingOracle()
     if name == "model-search":
-        return ModelSearchOracle(caps.oracle_worlds, caps.oracle_budget, **kw)
+        return ModelSearchOracle(caps.oracle_worlds, caps.oracle_budget)
     raise SpaceError(f"unknown oracle {name!r}")
 
 
@@ -557,18 +539,14 @@ def reachable(
     space: StateSpace,
     oracle,
     caps: Caps = Caps(),
-    unknown_policy: str = "exclude",
 ) -> ReachResult:
     """Endpoints of efficient small-step paths through consistent states.
 
-    Unknown states are excluded by default (and recorded); with policy
-    "include" they are treated as consistent.
+    Unknown states are excluded and recorded.
     """
     i0 = _start_index(start, space)
     verdicts = [oracle.judge(st) for st in space.states]
-    include = unknown_policy == "include"
-    allowed = {i for i, v in enumerate(verdicts)
-               if v.consistent or include and v.status == "unknown"}
+    allowed = {i for i, v in enumerate(verdicts) if v.consistent}
     excluded = {i for i, v in enumerate(verdicts) if v.status == "unknown"}
     if i0 not in allowed:
         return ReachResult(set(), excluded, False)

@@ -255,14 +255,6 @@ def sub_pm(obj: Formula | Iterable[Formula]) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def pm_contains(formulas: Iterable[Formula] | frozenset[Formula], f: Formula) -> bool:
-    """Membership modulo ~~ collapse."""
-    f = strip_double_neg(f)
-    if isinstance(formulas, (set, frozenset)):
-        return f in formulas or any(strip_double_neg(g) == f for g in formulas)
-    return any(strip_double_neg(g) == f for g in formulas)
-
-
 def variables(obj: Formula | Iterable[Formula]) -> frozenset[str]:
     return frozenset(f.name for f in subformulas(obj) if isinstance(f, Var))
 
@@ -375,33 +367,41 @@ MAX_NESTING = 100
 # "->" expand to three levels each), so the bound refuses none of them.
 MAX_HEIGHT = 450
 
+# The largest syntax tree a "<->" may build, in nodes counted with
+# repetition (which tracks the length of the printed text).  Only "<->"
+# copies its operands, so only it makes more than a few nodes per token: a
+# chain doubles with each operand.  A chain of 14 single letters (81,911
+# nodes, about 170 KB of text) is within the bound and one of 15 is not.
+MAX_SIZE = 100_000
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        # id(node) -> (height, node); holding the node keeps its id unique.
-        # No token adds more than four levels ("<->"), so a short text
-        # needs no count.
-        self.heights: dict[int, tuple[int, Formula]] | None = \
-            {} if 4 * len(self.tokens) > MAX_HEIGHT else None
+        # id(node) -> (height, size, node); holding the node keeps its id
+        # unique.  No token adds more than four levels ("<->"), so a short
+        # text needs no height count.
+        self.measured: dict[int, tuple[int, int, Formula]] = {}
+        self.count_height = 4 * len(self.tokens) > MAX_HEIGHT
+
+    def measure(self, f: Formula) -> tuple[int, int, Formula]:
+        """(height, size, f) with the size counted with repetition."""
+        got = self.measured.get(id(f))
+        if got is None:
+            kids = [self.measure(g) for g in f.kids]
+            got = self.measured[id(f)] = (1 + max((m[0] for m in kids), default=-1),
+                                          1 + sum(m[1] for m in kids), f)
+        return got
+
+    def refuse(self, what: str) -> ParseError:
+        return ParseError(what, self.tokens[self.i][2])
 
     def within_height(self, f: Formula) -> Formula:
         """``f``, or a ParseError when it is taller than ``MAX_HEIGHT``."""
-        heights = self.heights
-        if heights is None:
-            return f
-
-        def height(g: Formula) -> int:
-            got = heights.get(id(g))
-            if got is None:
-                got = heights[id(g)] = (1 + max(map(height, g.kids), default=-1), g)
-            return got[0]
-
-        if height(f) > MAX_HEIGHT:
-            raise ParseError(f"formula taller than {MAX_HEIGHT} levels",
-                             self.tokens[self.i][2])
+        if self.count_height and self.measure(f)[0] > MAX_HEIGHT:
+            raise self.refuse(f"formula taller than {MAX_HEIGHT} levels")
         return f
 
     def peek(self) -> str:
@@ -423,7 +423,11 @@ class _Parser:
         a = self.imp()
         while self.peek() == "iff":
             self.next()
-            a = self.within_height(iff(a, self.imp()))
+            b = self.imp()
+            # iff(a, b) holds two copies of each operand and seven nodes more
+            if 2 * (self.measure(a)[1] + self.measure(b)[1]) + 7 > MAX_SIZE:
+                raise self.refuse(f"formula larger than {MAX_SIZE} nodes")
+            a = self.within_height(iff(a, b))
         return a
 
     def imp(self) -> Formula:
@@ -450,8 +454,7 @@ class _Parser:
     def nested(self, parse: Callable[[], Formula]) -> Formula:
         """``parse()`` one nesting level deeper."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels",
-                             self.tokens[self.i][2])
+            raise self.refuse(f"formula nested deeper than {MAX_NESTING} levels")
         self.depth += 1
         f = parse()
         self.depth -= 1

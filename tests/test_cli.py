@@ -1,10 +1,12 @@
+import hashlib
 import json
 import pathlib
+import time
 
 import pytest
 
 from dtlstar.cli import main
-from dtlstar.syntax import MAX_HEIGHT, MAX_NESTING
+from dtlstar.syntax import MAX_HEIGHT, MAX_NESTING, MAX_SIZE
 
 
 @pytest.fixture
@@ -105,6 +107,14 @@ class TestCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("max_worlds", ["0", "-2"])
+    def test_enumerate_refuses_max_worlds_below_one(self, capsys, max_worlds):
+        code, out, err = run(capsys, "enumerate", "--max-worlds", max_worlds,
+                             "--vars", "p", "--count-only")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--max-worlds must be at least 1" in err
+
     def test_satisfy_roundtrip(self, capsys):
         code, out, _ = run(capsys, "satisfy", "F p & ~p")
         assert code == 0
@@ -134,6 +144,18 @@ class TestCommands:
         assert code == 0
         report = json.loads(out)
         assert report["ok"] and report["trials"] == 50
+
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "3", "--max-worlds", "0"],
+        ["--trials", "-3"],
+        ["--trials", "0"],
+        ["--trials", "3", "--jobs", "0"],
+    ], ids=["max-worlds0", "trials-3", "trials0", "jobs0"])
+    def test_soundness_test_refuses_values_below_one(self, capsys, argv):
+        code, out, err = run(capsys, "soundness-test", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "must be at least 1" in err and "Traceback" not in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "satisfy", "F p & ~p", "--seed", "5")
@@ -217,6 +239,22 @@ class TestCommands:
         code, out, err = run(capsys, "parse", shape(MAX_HEIGHT + 1))
         assert code == 2 and out == "" and err.count("\n") == 1
         assert f"taller than {MAX_HEIGHT} levels" in err
+
+    @pytest.mark.parametrize("command", ["parse", "satisfy"])
+    def test_iff_chain_refused_before_it_is_built(self, capsys, command):
+        # each operand of a "<->" chain doubles the tree; 30 would be 5e9 nodes
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, " <-> ".join(["p"] * 30))
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"larger than {MAX_SIZE} nodes" in err
+
+    def test_iff_chain_within_the_size_limit(self, capsys):
+        code, out, _ = run(capsys, "parse", " <-> ".join(["p"] * 10))
+        assert code == 0 and len(out) == 10_759
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "14b0ef8b9d90e0a016f5bbd5723af33dba652712b9acb641f03744f2fca6303e"
 
     @pytest.mark.parametrize("n", [24, 200])
     def test_satisfy_many_variables(self, capsys, n):

@@ -167,3 +167,91 @@ class TestCheckPropsub:
         rep = check_propsub(single([p]), phi, self.models(), i0_states=[], items=(4,))
         assert not rep.ok
         assert rep.items[4].countermodel is not None
+
+
+class TestCountermodelRecords:
+    """``checked`` and the full countermodel record on failing inputs."""
+
+    two_worlds_below = {
+        "f": {"w0": "w0", "w1": "w0"}, "order": [["w0", "w1"]],
+        "val": {"p": ["w0"]}, "worlds": ["w0", "w1"],
+    }
+    two_worlds_apart = {
+        "f": {"w0": "w0", "w1": "w0"}, "order": [],
+        "val": {"p": ["w1"]}, "worlds": ["w0", "w1"],
+    }
+
+    def models(self):
+        return list(enumerate_models(3, ["p"]))
+
+    def dia_p(self):
+        phi = [parse("<>p")]
+        i0 = small_phi_pool(phi, 3)
+        return phi, i0, i0[0]
+
+    def next_p(self):
+        phi = [parse("X p")]
+        i0 = small_phi_pool(phi, 3)
+        st = next(s for s in i0 if len(s) == 1)
+        return phi, i0, st
+
+    def test_item4_without_states(self):
+        phi, _, st = self.dia_p()
+        rep = check_propsub(st, phi, self.models(), i0_states=[], items=(4,)).items[4]
+        assert rep.checked == 1
+        assert rep.countermodel == {
+            "model": {"f": {"w0": "w0"}, "order": [], "val": {"p": ["w0"]}, "worlds": ["w0"]},
+            "world": "w0", "antecedent": "p", "consequent": None,
+        }
+
+    def test_item4_truncated_states(self):
+        phi, i0, st = self.dia_p()
+        dia, not_p = parse("<>p"), Neg(p)
+        cut = [s for s in i0 if not (dia in s.root_type() and not_p in s.root_type())]
+        rep = check_propsub(st, phi, self.models(), i0_states=cut, items=(4,)).items[4]
+        assert rep.checked == 2
+        assert rep.countermodel == {
+            "model": self.two_worlds_below, "world": "w1",
+            "antecedent": "~p", "consequent": "(lazy disjunction over 3 terms)",
+        }
+
+    def test_item5_without_successors(self):
+        phi, _, st = self.next_p()
+        rep = check_propsub(st, phi, self.models(), successor_states=[], items=(5,)).items[5]
+        assert rep.checked == 1
+        assert rep.countermodel == {
+            "model": self.two_worlds_apart, "world": "w1",
+            "antecedent": "p & ~X p & <>(p & ~X p)", "consequent": None,
+        }
+
+    def test_item5_wrong_successors(self):
+        phi, i0, st = self.next_p()
+        wrong = [v for v in i0 if not small_temporal_successor(st, v)][:2]
+        rep = check_propsub(st, phi, self.models(), successor_states=wrong, items=(5,)).items[5]
+        assert rep.checked == 1
+        assert rep.countermodel == {
+            "model": self.two_worlds_apart, "world": "w1",
+            "antecedent": "p & ~X p & <>(p & ~X p)",
+            "consequent": "(lazy disjunction over 2 terms under next)",
+        }
+
+    def test_items_1_to_3_checked(self):
+        _, _, st = self.dia_p()
+        for state, counts in ((cluster([p], [Neg(p)]), (1, 2, 2)), (st, (2, 1, 1))):
+            rep = check_propsub(state, [p], self.models(), items=(1, 2, 3))
+            assert [rep.items[k].checked for k in (1, 2, 3)] == list(counts)
+            assert [rep.items[k].countermodel for k in (1, 2, 3)] == [None] * 3
+
+
+class TestMemo:
+    def test_memos_are_bounded(self):
+        assert sim_formula.cache_info().maxsize is not None
+        assert raw_sim_formula.cache_info().maxsize is not None
+
+    def test_isomorphic_states_share_a_formula(self):
+        a = chain([Neg(p)], [p])
+        space = Preorder(["u", "v"], [("u", "v")])
+        b = State(TypedPreorder(space, {"u": [p], "v": [Neg(p)]}), "v")
+        assert a == b and a.space.worlds != b.space.worlds
+        assert sim_formula(b) is sim_formula(a)
+        assert raw_sim_formula(b) is raw_sim_formula(a)
