@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .util import Verdict, OK, bits, choices, fail
 
@@ -213,27 +213,19 @@ def _order_pairs(names: tuple[str, ...], down: tuple[int, ...], mask: int) -> li
     return [(names[j], names[i]) for i in bits(mask) for j in bits(down[i] & mask) if j != i]
 
 
-def _resolve_map(p: Preorder, f: Mapping[str, str] | Callable[[str], str]) -> list[int]:
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    out = []
-    for w in p.worlds:
-        try:
-            tgt = get(w)
-        except KeyError:
-            raise PreorderError(f"map undefined on world {w!r}") from None
-        if tgt not in p.index:
-            raise PreorderError(f"map sends {w!r} to unknown world {tgt!r}")
-        out.append(p.index[tgt])
-    return out
-
-
-def is_continuous_map(p: Preorder, f: Mapping[str, str] | Callable[[str], str]) -> Verdict:
+def is_continuous_map(p: Preorder, f: Mapping[str, str]) -> Verdict:
     """Continuity of a self-map; on a down-set topology this is monotonicity.
 
     On failure the witness is a pair ``(v, w)`` with v below w but f(v) not
     below f(w).
     """
-    fi = _resolve_map(p, f)
+    fi = []
+    for w in p.worlds:
+        if w not in f:
+            raise PreorderError(f"map undefined on world {w!r}")
+        if f[w] not in p.index:
+            raise PreorderError(f"map sends {w!r} to unknown world {f[w]!r}")
+        fi.append(p.index[f[w]])
     for w in range(len(p.worlds)):
         fw_down = p.down[fi[w]]
         for v in bits(p.down[w]):

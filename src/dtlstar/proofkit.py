@@ -138,11 +138,14 @@ def _boolean_atoms(f: Formula, atoms: list[Formula]) -> None:
             atoms.append(f)
 
 
-def is_tautology(f: Formula, atom_cap: int = 20) -> bool:
+ATOM_CAP = 20
+
+
+def is_tautology(f: Formula) -> bool:
     """Truth-table over maximal non-Boolean subterms treated as atoms."""
     atoms: list[Formula] = []
     _boolean_atoms(f, atoms)
-    if len(atoms) > atom_cap:
+    if len(atoms) > ATOM_CAP:
         raise ProofError(f"too many atoms for a truth table ({len(atoms)})")
     index = {a: i for i, a in enumerate(atoms)}
 

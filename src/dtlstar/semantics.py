@@ -222,19 +222,19 @@ def enumerate_models(
     vars: Sequence[str] = (),
     exhaustive: bool = True,
     seed: int | None = None,
-    cap: int = EXHAUSTIVE_CAP,
 ) -> Iterator[DynModel]:
     """Stream finite models over the given variables.
 
     Exhaustive mode yields every preorder on at most ``n_max`` worlds up to
     isomorphism, every monotone self-map on it, and every valuation of the
-    variables; the default cap guards against accidental blow-ups.  Random
+    variables; ``EXHAUSTIVE_CAP`` guards against accidental blow-ups.  Random
     mode is an endless reproducible stream (uniform over labeled structures,
     not isomorphism classes) driven by ``seed``.
     """
     if exhaustive:
-        if n_max > cap:
-            raise ModelError(f"exhaustive enumeration capped at {cap} worlds (asked {n_max})")
+        if n_max > EXHAUSTIVE_CAP:
+            raise ModelError(
+                f"exhaustive enumeration capped at {EXHAUSTIVE_CAP} worlds (asked {n_max})")
         for n in range(1, n_max + 1):
             for space in enumerate_preorders(n):
                 for fmap in monotone_maps(space):

@@ -37,6 +37,7 @@ from .states import (
     State,
     StateError,
     distinctly_typed,
+    root_restrictions,
     state_p,
     substate_at,
     substates,
@@ -56,10 +57,6 @@ from .syntax import (
 from .util import bits
 
 
-def _conj_set(parts: Iterable[Formula]) -> Formula:
-    return conj(set(parts))
-
-
 @functools.lru_cache(maxsize=4096)
 def raw_sim_formula(st: State) -> Formula:
     """The recursive construction applied to the state's own types.  States
@@ -77,9 +74,9 @@ def raw_sim_formula(st: State) -> Formula:
     diamonds = [Tangle((s,)) for s in daughter_sims]
     members = []
     for c in bits(root_cluster):
-        members.append(_conj_set([conj(st.types[c])] + diamonds))
+        members.append(conj([conj(st.types[c])] + diamonds))
     top = [conj(st.types[ri])] + diamonds + [Tangle(members)]
-    return _conj_set(top)
+    return conj(top)
 
 
 def _indicator_typed(st: State) -> bool:
@@ -232,7 +229,7 @@ def check_propsub(
             pool, sim_w, sorted(st.root_type(), key=Formula.sort_key))
     if 2 in items:
         report.items[2] = _first_countermodel(
-            pool, sim_w, (sim_formula(v) for v in _simulated_variants(st)))
+            pool, sim_w, (sim_formula(v) for v in root_restrictions(st) if simulates(v, st)))
     if 3 in items:
         report.items[3] = _first_countermodel(
             pool, sim_w, (Tangle((sim_formula(v),)) for v in substates(st)))
@@ -255,19 +252,3 @@ def check_propsub(
             pool, sim_w, [sim_formula(v) for v in successor_states], through_next=True))
 
     return report
-
-
-def _simulated_variants(st: State) -> list[State]:
-    """Root-preserving restrictions of the state that it simulates."""
-    space = st.space
-    ri = space.index[st.root]
-    rest = [i for i in range(len(space.worlds)) if i != ri]
-    out = []
-    for pick in range(1 << len(rest)):
-        mask = 1 << ri
-        for b in bits(pick):
-            mask |= 1 << rest[b]
-        v = State(st.base.restrict(mask), st.root)
-        if simulates(v, st):
-            out.append(v)
-    return out

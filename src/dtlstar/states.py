@@ -18,7 +18,7 @@ compare equal exactly when isomorphic.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .preorder import Preorder, json_key, preorder_from_json, preorder_to_json
 from .semantics import DynModel
@@ -418,6 +418,16 @@ def substate_at(st: State, v: str) -> State:
 def substates(st: State) -> list[State]:
     """One generated substate per world, the state itself at the root."""
     return [substate_at(st, v) for v in st.space.worlds]
+
+
+def root_restrictions(st: State) -> Iterator[State]:
+    """The state restricted to each world set that holds its root: smaller
+    sets first, each size in lexicographic order of world index."""
+    ri = st.space.index[st.root]
+    rest = [i for i in range(len(st)) if i != ri]
+    for size in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, size):
+            yield State(st.base.restrict(sum(1 << i for i in combo) | 1 << ri), st.root)
 
 
 def distinctly_typed(st: State) -> Verdict:

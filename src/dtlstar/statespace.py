@@ -29,7 +29,6 @@ lasso); exhausted caps yield "no witness found", never "unsatisfiable".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from typing import Any, Container, Iterable, Iterator, Sequence
 
@@ -45,6 +44,7 @@ from .states import (
     has_type_containing,
     norm,
     phi_types,
+    root_restrictions,
     state_of_model_point,
     state_to_json,
     sub_dia_count,
@@ -179,13 +179,6 @@ class StateSpace:
     complete: bool
     notes: list[str] = field(default_factory=list)
 
-    def index_of(self, st: State) -> int | None:
-        key = st.canonical_key()
-        for i, s in enumerate(self.states):
-            if s.canonical_key() == key:
-                return i
-        return None
-
     def __len__(self) -> int:
         return len(self.states)
 
@@ -314,25 +307,8 @@ def reduce_state(st: State, phi: Iterable[Formula]) -> State | None:
     bound = _norm_bound(tuple(phi))
     if norm(st)[2] <= bound:
         return st
-    space = st.space
-    ri = space.index[st.root]
-    rest = [i for i in range(len(space.worlds)) if i != ri]
-    for size in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            mask = 1 << ri
-            for i in combo:
-                mask |= 1 << i
-            try:
-                cand = State(st.base.restrict(mask), st.root)
-            except StateError:
-                continue
-            if norm(cand)[2] > bound:
-                continue
-            if not validate_typing(cand.base):
-                continue
-            if simulates(cand, st):
-                return cand
-    return None
+    return next((cand for cand in root_restrictions(st) if norm(cand)[2] <= bound
+                 and validate_typing(cand.base) and simulates(cand, st)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +321,10 @@ class EfficientPaths:
     truncated: bool
 
 
-def _start_index(start: State | int, space: StateSpace) -> int:
-    i0 = start if isinstance(start, int) else space.index_of(start)
-    if i0 is None:
-        raise SpaceError("start state not in the space")
-    return i0
+def _start_index(start: int, space: StateSpace) -> int:
+    if not 0 <= start < len(space.states):
+        raise SpaceError(f"start index {start} outside a space of {len(space.states)} states")
+    return start
 
 
 def _small_successors(space: StateSpace, keep: Container[int]) -> dict[int, list[int]]:
@@ -431,13 +406,11 @@ def _walk(i0: int, succ: dict[int, list[int]], sim: _SimMasks, steps: int,
     return set(bits(visited)), truncated
 
 
-def efficient_paths(
-    start: State | int, space: StateSpace, caps: Caps = Caps()
-) -> EfficientPaths:
-    """All maximal small-step paths from the start with no earlier state
-    simulating a later one.  Any repeat is already inefficient, so only
-    finitely many such paths exist; the step cap is a guard that flags
-    truncation instead of hanging."""
+def efficient_paths(start: int, space: StateSpace, caps: Caps = Caps()) -> EfficientPaths:
+    """All maximal small-step paths from the start state (an index into
+    ``space.states``) with no earlier state simulating a later one.  Any
+    repeat is already inefficient, so only finitely many such paths exist;
+    the step cap is a guard that flags truncation instead of hanging."""
     i0 = _start_index(start, space)
     result = EfficientPaths([], [], False)
     succ = _small_successors(space, range(len(space.states)))
@@ -534,13 +507,9 @@ class ReachResult:
     truncated: bool
 
 
-def reachable(
-    start: State | int,
-    space: StateSpace,
-    oracle,
-    caps: Caps = Caps(),
-) -> ReachResult:
-    """Endpoints of efficient small-step paths through consistent states.
+def reachable(start: int, space: StateSpace, oracle, caps: Caps = Caps()) -> ReachResult:
+    """Endpoints of efficient small-step paths from the start state (an index
+    into ``space.states``) through consistent states.
 
     Unknown states are excluded and recorded.
     """
@@ -806,18 +775,6 @@ def satisfy(
     small_edges = [
         (a, b) for (a, b) in verified_edges if is_small_successor(nodes[a], nodes[b])
     ]
-    consistency = []
-    for i, st in enumerate(nodes):
-        m = simulated_points_mask(st, model)
-        if m:
-            consistency.append(
-                ConsistencyVerdict("consistent",
-                                   {"point": model.space.worlds[next(bits(m))]},
-                                   "witness model")
-            )
-        else:  # pragma: no cover - construction guarantees a point
-            consistency.append(ConsistencyVerdict("unknown", None, "no point in witness model"))
-
     sub_pairs, missing = _substate_pairs(nodes)
     openness = [
         {"state": i, "substate": None, "kind": "oracle-gap"}
@@ -849,9 +806,12 @@ def satisfy(
         "openness_issues": openness,
         "seriality_issues": seriality,
         "quasimodel": {"ok": bool(qverdict), "reason": qverdict.reason},
+        # the construction guarantees each node a point of the witness model
         "consistency": [
-            {"state": label[i], "status": v.status, "note": v.note}
-            for i, v in enumerate(consistency)
+            {"state": label[i], "status": "consistent", "note": "witness model"}
+            if simulated_points_mask(st, model)
+            else {"state": label[i], "status": "unknown", "note": "no point in witness model"}
+            for i, st in enumerate(nodes)
         ],
     }
     report = SatReport(

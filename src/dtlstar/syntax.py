@@ -273,19 +273,17 @@ def substitute(f: Formula, sigma: Mapping[str, Formula]) -> Formula:
     return _replace(f, lambda g: sigma.get(g.name, g) if isinstance(g, Var) else None)
 
 
-def fresh_names(used: Iterable[str], prefix: str = "q") -> Iterator[str]:
+def fresh_names(used: Iterable[str]) -> Iterator[str]:
     taken = set(used)
     i = 0
     while True:
-        name = f"{prefix}{i}"
+        name = f"q{i}"
         if name not in taken:
             yield name
         i += 1
 
 
-def q_transform(
-    f: Formula, fresh: Callable[[int, Formula], str] | None = None
-) -> tuple[Formula, dict[str, Formula]]:
+def q_transform(f: Formula) -> tuple[Formula, dict[str, Formula]]:
     """Replace each outermost henceforth subterm ``G d`` by a fresh variable.
 
     Identical bodies share one variable.  Returns the transformed formula and
@@ -301,14 +299,7 @@ def q_transform(
         else:
             stack.extend(g.kids)
     bodies = sorted_formulas(found)
-    if fresh is None:
-        gen = fresh_names(variables(f))
-        names = [next(gen) for _ in bodies]
-    else:
-        names = [fresh(i, d) for i, d in enumerate(bodies)]
-        if len(set(names)) != len(names):
-            raise ValueError("fresh allocator returned duplicate names")
-    name_of = {d: n for d, n in zip(bodies, names)}
+    name_of = dict(zip(bodies, fresh_names(variables(f))))
     inverse = {name_of[d]: Hence(d) for d in bodies}
     return _replace(f, lambda g: Var(name_of[g.sub]) if isinstance(g, Hence) else None), inverse
 

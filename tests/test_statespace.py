@@ -7,7 +7,8 @@ import pytest
 
 from dtlstar.preorder import Preorder, enumerate_preorders
 from dtlstar.quasimodel import eventualities_of, is_sensible_pair, validate_quasimodel
-from dtlstar.semantics import DynModel, model_from_json, random_model
+from dtlstar.semantics import DynModel, enumerate_models, model_from_json, random_model
+from dtlstar.simformula import check_propsub
 from dtlstar.simulation import simulates
 from dtlstar.statespace import (
     Caps,
@@ -36,10 +37,12 @@ from dtlstar.states import (
     State,
     TypedPreorder,
     norm,
+    root_restrictions,
     state_of_model_point,
     t_contains,
+    validate_typing,
 )
-from dtlstar.syntax import Neg, Var, parse, to_text
+from dtlstar.syntax import Neg, Var, formula_length, parse, to_text, variables
 
 p, q = Var("p"), Var("q")
 
@@ -216,6 +219,91 @@ class TestReduceState:
         assert out.root_type() == st.root_type()
 
 
+RESTRICTION_SPACES = (("p", 2), ("X p", 2), ("G p & q", 2), ("<>p", 3))
+
+
+@functools.lru_cache(maxsize=None)
+def restriction_space(signature, max_worlds):
+    return enumerate_states((parse(signature),), 0, Caps(max_worlds=max_worlds))
+
+
+def restriction_states():
+    for signature, max_worlds in RESTRICTION_SPACES:
+        space = restriction_space(signature, max_worlds)
+        for st in space.states:
+            yield space, st
+
+
+def combination_restrictions(st):
+    """Root-holding restrictions by size, then by combination order."""
+    ri = st.space.index[st.root]
+    rest = [i for i in range(len(st)) if i != ri]
+    for size in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, size):
+            mask = 1 << ri
+            for i in combo:
+                mask |= 1 << i
+            yield State(st.base.restrict(mask), st.root)
+
+
+def slow_reduce_state(st, phi):
+    """The slow twin of ``reduce_state``: the size and combination scan."""
+    bound = max(1, formula_length(phi))
+    if norm(st)[2] <= bound:
+        return st
+    for cand in combination_restrictions(st):
+        if norm(cand)[2] <= bound and validate_typing(cand.base) and simulates(cand, st):
+            return cand
+    return None
+
+
+def bitmask_simulated_variants(st):
+    """Root-holding restrictions that the state simulates, in bitmask order."""
+    ri = st.space.index[st.root]
+    rest = [i for i in range(len(st)) if i != ri]
+    out = []
+    for pick in range(1 << len(rest)):
+        mask = 1 << ri
+        for b in range(len(rest)):
+            if pick >> b & 1:
+                mask |= 1 << rest[b]
+        v = State(st.base.restrict(mask), st.root)
+        if simulates(v, st):
+            out.append(v)
+    return out
+
+
+def shape(st):
+    return (st.space.worlds, st.root, st.types) if st is not None else None
+
+
+class TestRootRestrictionTwins:
+    """``reduce_state`` and item 2 of ``check_propsub`` search one family of
+    root-holding restrictions; each is checked against its own scan."""
+
+    def test_root_restrictions_order(self):
+        for _, st in restriction_states():
+            got = list(root_restrictions(st))
+            assert len(got) == 1 << (len(st) - 1)
+            index_sets = [tuple(st.space.index[w] for w in v.space.worlds) for v in got]
+            assert len(set(index_sets)) == len(index_sets)
+            assert all(st.space.index[st.root] in s for s in index_sets)
+            assert index_sets == sorted(index_sets, key=lambda s: (len(s), s))
+            assert [shape(v) for v in got] == [shape(v) for v in combination_restrictions(st)]
+
+    def test_reduce_state_matches_scan(self):
+        for space, st in restriction_states():
+            for phi in (space.phi, ()):
+                assert shape(reduce_state(st, phi)) == shape(slow_reduce_state(st, phi))
+
+    def test_item2_checks_every_simulated_variant(self):
+        for space, st in restriction_states():
+            pool = list(enumerate_models(2, sorted(variables(space.phi))))
+            rep = check_propsub(st, space.phi, pool, items=(2,)).items[2]
+            variants = bitmask_simulated_variants(st)
+            assert rep.ok and rep.checked == len(variants)
+
+
 class TestEfficientPaths:
     def test_self_loop_only(self):
         space = enumerate_states([], 0, Caps(max_worlds=1))
@@ -244,6 +332,31 @@ class TestEfficientPaths:
         space = enumerate_states([parse("X p")], 0, Caps(max_worlds=2))
         out = efficient_paths(0, space)
         assert not out.truncated
+
+
+class TestStartIndex:
+    """Start states are indices into ``space.states``, and only those."""
+
+    def space(self):
+        return enumerate_states([p], 0, Caps(max_worlds=1))
+
+    @pytest.mark.parametrize("start", [2, -1])
+    def test_outside_refused(self, start):
+        space = self.space()
+        assert len(space.states) == 2
+        match = f"start index {start} outside a space of 2 states"
+        with pytest.raises(SpaceError, match=match):
+            efficient_paths(start, space)
+        with pytest.raises(SpaceError, match=match):
+            reachable(start, space, TrustingOracle())
+
+    def test_valid_index_unchanged(self):
+        space = self.space()
+        out = efficient_paths(1, space)
+        assert out.paths == [(1, 0)]
+        assert out.prunes == [((1, 0, 0), 1, 2), ((1, 0, 1), 0, 2), ((1, 1), 0, 1)]
+        assert not out.truncated
+        assert reachable(1, space, TrustingOracle()).reachable == {0, 1}
 
 
 class TestOracles:
