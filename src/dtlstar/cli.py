@@ -38,9 +38,20 @@ def _emit(data: Any, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
+class InputError(ValueError):
+    """An input file that cannot be read as JSON."""
+
+
 def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}") from None
 
 
 def _verdict_json(v) -> dict:
@@ -132,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except (ParseError, ModelError, PreorderError, StateError, QuasimodelError, ProofError,
-            SpaceError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
+            SpaceError, InputError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .util import Verdict, OK, bits, choices, fail
 
@@ -189,12 +189,12 @@ class Preorder:
             n = len(self.worlds)
             down = self.down
             auts = [perm for perm in itertools.permutations(range(n))
-                    if _permute_down(down, perm) == down]
+                    if permute_down(down, perm) == down]
             self._auts = tuple(auts)
         return self._auts
 
 
-def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """``mask`` with each world index i moved to ``perm[i]``."""
     out = 0
     for i in bits(mask):
@@ -202,7 +202,8 @@ def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _permute_down(down: tuple[int, ...] | list[int], perm: tuple[int, ...]) -> tuple[int, ...]:
+def permute_down(down: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The down-vector ``down`` with each world index i moved to ``perm[i]``."""
     out = [0] * len(down)
     for i, d in enumerate(down):
         out[perm[i]] = permute_mask(d, perm)
@@ -297,7 +298,7 @@ def enumerate_preorders(n: int, up_to_iso: bool = True) -> Iterator[Preorder]:
 def _iso_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     """Sorted least down-vectors of the isomorphism classes on n points."""
     perms = list(itertools.permutations(range(n)))
-    return tuple(sorted({min(_permute_down(down, perm) for perm in perms)
+    return tuple(sorted({min(permute_down(down, perm) for perm in perms)
                          for down in _down_vectors(n)}))
 
 

@@ -31,7 +31,7 @@ from .states import (
     validate_typing,
 )
 from .syntax import Formula, Hence, Neg, Next, negated, strip_double_neg, to_text
-from .util import Verdict, OK, bits, fail
+from .util import Verdict, OK, bits, fail, least_failure
 
 
 class QuasimodelError(ValueError):
@@ -51,25 +51,26 @@ def eventualities_of(t: TypeSet) -> list[tuple[Formula, Formula]]:
     return out
 
 
-def is_sensible_pair(t1: Iterable[Formula], t2: Iterable[Formula]) -> Verdict:
-    """The four transfer conditions from one type to its step successor."""
-    t1 = frozenset(strip_double_neg(f) for f in t1)
-    t2 = frozenset(strip_double_neg(f) for f in t2)
+def is_sensible_pair(t1: TypeSet, t2: TypeSet) -> Verdict:
+    """The four transfer conditions from one type to its step successor.
+    Types are used as stored, so pass normalized ones, as a ``TypedPreorder``
+    holds."""
+    bad = []
     for f in t1:
         if isinstance(f, Next):
             if not t_contains(t2, f.sub):
-                return fail("next member not carried over", f)
+                bad.append(("next member not carried over", f))
         elif isinstance(f, Neg) and isinstance(f.sub, Next):
             if negated(strip_double_neg(f.sub.sub)) not in t2:
-                return fail("negated next member not refuted", f)
+                bad.append(("negated next member not refuted", f))
         elif isinstance(f, Hence):
             if f not in t2:
-                return fail("henceforth member dropped", f)
+                bad.append(("henceforth member dropped", f))
         elif isinstance(f, Neg) and isinstance(f.sub, Hence):
             target = negated(strip_double_neg(f.sub.sub))
             if target not in t1 and f not in t2:
-                return fail("eventuality neither realized nor deferred", f)
-    return OK
+                bad.append(("eventuality neither realized nor deferred", f))
+    return least_failure(bad)
 
 
 class Quasimodel:

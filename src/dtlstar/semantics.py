@@ -269,9 +269,12 @@ def random_model(rng: random.Random, n_max: int, vars: Sequence[str]) -> DynMode
     return DynModel(space, fmap, val)
 
 
-def _random_monotone_map(rng: random.Random, space: Preorder, tries: int = 200) -> dict[str, str]:
+_MAP_TRIES = 200  # random self-maps drawn before falling back to the identity
+
+
+def _random_monotone_map(rng: random.Random, space: Preorder) -> dict[str, str]:
     n = len(space.worlds)
-    for _ in range(tries):
+    for _ in range(_MAP_TRIES):
         f = {w: space.worlds[rng.randrange(n)] for w in space.worlds}
         if is_continuous_map(space, f):
             return f

@@ -13,6 +13,18 @@ cluster from jointly refuting it.  A *state* is a finite typed preorder with
 a top point above everything; states are the local building blocks of the
 satisfiability machinery, are kept duplicate-free inside clusters, and
 compare equal exactly when isomorphic.
+
+Isomorphism is decided by one canonical labelling.  Each world is coloured
+by (not root, type key), and colours are refined by the multisets of colours
+below and above each world until no class splits.  The key of a state is
+its type keys in colour order together with the least down masks over the
+arrangements that list the worlds by colour, permuting only within a colour
+class.  Colours are invariant, so isomorphic states share their arrangements
+and their least one; the key determines the state (the root is the one world
+of the first colour), so equal keys mean isomorphic states.
+
+Checks over a set of members report the failing member least in
+``Formula.sort_key`` order, so witnesses do not depend on set order.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .preorder import Preorder, json_key, preorder_from_json, preorder_to_json
+from .preorder import Preorder, json_key, permute_down, preorder_from_json, preorder_to_json
 from .semantics import DynModel
 from .syntax import (
     And,
@@ -40,7 +52,7 @@ from .syntax import (
     to_text,
     variables,
 )
-from .util import Verdict, OK, bits, fail
+from .util import Verdict, OK, bits, fail, least_failure
 
 TypeSet = frozenset  # of Formula, normalized members
 
@@ -63,21 +75,22 @@ def type_key(t: TypeSet) -> tuple:
 
 def is_weak_type(t: Iterable[Formula]) -> Verdict:
     t = norm_type(t)
+    bad = []
     for f in t:
         if negated(f) in t:
-            return fail("member and its negation both present", f)
-        if isinstance(f, And):
+            bad.append(("member and its negation both present", f))
+        elif isinstance(f, And):
             if not t_contains(t, f.left) or not t_contains(t, f.right):
-                return fail("conjunction member without both conjuncts", f)
+                bad.append(("conjunction member without both conjuncts", f))
         elif isinstance(f, Neg) and isinstance(f.sub, And):
             a = negated(strip_double_neg(f.sub.left))
             b = negated(strip_double_neg(f.sub.right))
             if a not in t and b not in t:
-                return fail("negated conjunction without a negated conjunct", f)
+                bad.append(("negated conjunction without a negated conjunct", f))
         elif isinstance(f, Hence):
             if not t_contains(t, f.sub):
-                return fail("henceforth member without its body", f)
-    return OK
+                bad.append(("henceforth member without its body", f))
+    return least_failure(bad)
 
 
 def is_phi_type(t: Iterable[Formula], phi: Iterable[Formula]) -> Verdict:
@@ -87,14 +100,13 @@ def is_phi_type(t: Iterable[Formula], phi: Iterable[Formula]) -> Verdict:
     if not weak:
         return weak
     allowed = sub_pm(phi)
-    for f in t:
-        if f not in allowed:
-            return fail("member outside the signed subformula closure", f)
-    for s in subformulas(phi):
-        s = strip_double_neg(s)
-        if s not in t and negated(s) not in t:
-            return fail("undecided subformula", s)
-    return OK
+    outside = least_failure(("member outside the signed subformula closure", f)
+                            for f in t if f not in allowed)
+    if not outside:
+        return outside
+    return least_failure(("undecided subformula", s)
+                         for s in map(strip_double_neg, subformulas(phi))
+                         if s not in t and negated(s) not in t)
 
 
 def phi_types(phi: Iterable[Formula]) -> list[TypeSet]:
@@ -220,22 +232,23 @@ def validate_typing(tp: TypedPreorder) -> Verdict:
         cluster_inter[c] = frozenset(inter)
     for w in range(len(space.worlds)):
         clusters_below = {c for c in space.cluster_masks() if c & space.down[w]}
+        bad = []
         for f in tp.types[w]:
             if isinstance(f, Tangle):
                 if not any(
                     all(t_contains(cluster_of_rep[c], g) for g in f.members)
                     for c in clusters_below
                 ):
-                    return fail("tangle member lacks a witnessing cluster",
-                                (space.worlds[w], f))
+                    bad.append(("tangle member lacks a witnessing cluster", f))
             elif isinstance(f, Neg) and isinstance(f.sub, Tangle):
-                for c in clusters_below:
-                    if not any(
-                        negated(strip_double_neg(g)) in cluster_inter[c]
-                        for g in f.sub.members
-                    ):
-                        return fail("negated tangle member refuted by a cluster below",
-                                    (space.worlds[w], f))
+                if not all(
+                    any(negated(strip_double_neg(g)) in cluster_inter[c] for g in f.sub.members)
+                    for c in clusters_below
+                ):
+                    bad.append(("negated tangle member refuted by a cluster below", f))
+        if bad:
+            v = least_failure(bad)
+            return fail(v.reason, (space.worlds[w], v.witness))
     return OK
 
 
@@ -300,71 +313,38 @@ class State:
 
 
 def _canonical_state_key(st: State) -> tuple:
-    space = st.space
-    n = len(space.worlds)
-    ri = space.index[st.root]
-    type_ranks = {k: r for r, k in enumerate(sorted({type_key(t) for t in st.types}))}
-    color = [(i == ri, type_ranks[type_key(st.types[i])]) for i in range(n)]
-    while True:
-        ranked = {c: r for r, c in enumerate(sorted(set(color)))}
-        cur = [ranked[c] for c in color]
-        refined = [
-            (
-                cur[i],
-                tuple(sorted(cur[j] for j in bits(space.down[i]))),
-                tuple(sorted(cur[j] for j in bits(space.up[i]))),
-            )
-            for i in range(n)
-        ]
-        ranked2 = {c: r for r, c in enumerate(sorted(set(refined)))}
-        nxt = [ranked2[c] for c in refined]
-        if nxt == cur:
-            color = nxt
+    """The labelling of the module docstring."""
+    ri = st.space.index[st.root]
+    keys = [type_key(t) for t in st.types]
+    colour = [(i != ri, k) for i, k in enumerate(keys)]
+    # refine until the colours are all distinct or no class splits
+    while len(rank := {c: r for r, c in enumerate(sorted(set(colour)))}) < len(colour):
+        finer = [(rank[c],
+                  tuple(sorted(rank[colour[j]] for j in bits(st.space.down[i]))),
+                  tuple(sorted(rank[colour[j]] for j in bits(st.space.up[i]))))
+                 for i, c in enumerate(colour)]
+        if len(set(finer)) == len(rank):
             break
-        color = refined
-    order = sorted(range(n), key=lambda i: (color[i], i))
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and color[groups[-1][0]] == color[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    best: tuple | None = None
-    for arrangement in itertools.product(*(itertools.permutations(g) for g in groups)):
-        flat = [i for g in arrangement for i in g]
-        pos = {old: new for new, old in enumerate(flat)}
-        downs = [0] * n
-        for old in range(n):
-            m = 0
-            for j in bits(space.down[old]):
-                m |= 1 << pos[j]
-            downs[pos[old]] = m
-        cand = (
-            tuple(type_key(st.types[old]) for old in flat),
-            tuple(downs),
-            pos[ri],
-        )
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+        colour = finer
+    order = sorted(range(len(keys)), key=colour.__getitem__)
+    groups = [tuple(g) for _, g in itertools.groupby(order, key=colour.__getitem__)]
+    arrangements = (list(itertools.chain(*a))
+                    for a in itertools.product(*map(itertools.permutations, groups)))
+    # an arrangement lists the old indices in their new order; sorting inverts it
+    return tuple(keys[i] for i in order), min(
+        permute_down(st.space.down, sorted(range(len(keys)), key=flat.__getitem__))
+        for flat in arrangements)
 
 
 # ---------------------------------------------------------------------------
 # Bridges from models.
 
-def type_of_world(model: DynModel, phi: Iterable[Formula], w: str) -> TypeSet:
-    """The signed subformulas of phi true at w."""
-    return frozenset(f for f in sub_pm(phi) if model.satisfies(w, f))
-
-
 def typed_preorder_of_model(model: DynModel, phi: Iterable[Formula]) -> TypedPreorder:
-    phi = tuple(phi)
-    spm = sorted(sub_pm(phi), key=Formula.sort_key)
-    types = []
-    for w in model.space.worlds:
-        types.append(frozenset(f for f in spm if model.satisfies(w, f)))
-    return TypedPreorder(model.space, types)
+    """Each world typed by the signed subformulas of phi true there, each
+    evaluated once and in sort order (a strict model's error is fixed)."""
+    masks = [(f, model.eval_mask(f)) for f in sorted(sub_pm(phi), key=Formula.sort_key)]
+    return TypedPreorder(model.space, [frozenset(f for f, m in masks if m >> i & 1)
+                                       for i in range(len(model.space.worlds))])
 
 
 def state_of_model_point(model: DynModel, phi: Iterable[Formula], x: str) -> State:
@@ -377,9 +357,9 @@ def state_of_model_point(model: DynModel, phi: Iterable[Formula], x: str) -> Sta
     space = model.space
     xi = space.index[x]
     tp = typed_preorder_of_model(model, phi)
-    reps: dict[tuple[int, tuple], int] = {}
+    reps: dict[tuple[int, TypeSet], int] = {}
     for i in bits(space.down[xi]):
-        key = (space.cluster_mask(i), type_key(tp.types[i]))
+        key = (space.cluster_mask(i), tp.types[i])
         if key not in reps or i == xi:
             reps[key] = i
     keep = 0

@@ -170,8 +170,6 @@ def small_temporal_successor(w: State, v: State) -> Verdict:
 @dataclass
 class StateSpace:
     phi: tuple[Formula, ...]
-    k: int
-    norm_bound: int
     states: list[State]
     substate_pairs: set[tuple[int, int]]   # (substate, superstate)
     step_pairs: set[tuple[int, int]]
@@ -269,8 +267,6 @@ def enumerate_states(phi: Iterable[Formula], k: int = 0, caps: Caps = Caps()) ->
     notes.extend(f"substate of state {i} missing (cap)" for i in missing)
     space = StateSpace(
         phi=phi,
-        k=k,
-        norm_bound=_norm_bound(phi, k),
         states=states,
         substate_pairs=sub_pairs,
         step_pairs=set(),

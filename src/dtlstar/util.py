@@ -60,3 +60,11 @@ OK = Verdict(True)
 
 def fail(reason: str, witness: Any = None) -> Verdict:
     return Verdict(False, reason, witness)
+
+
+def least_failure(failures: Iterable[tuple[str, Any]]) -> Verdict:
+    """The ``(reason, formula)`` failure whose formula is least by
+    ``sort_key``, or OK when there is none.  Checks over a set of formulas
+    report through this, so the witness never depends on set order."""
+    least = min(failures, key=lambda rf: rf[1].sort_key(), default=None)
+    return OK if least is None else fail(*least)

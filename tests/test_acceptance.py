@@ -46,7 +46,7 @@ from dtlstar.states import (
     StateError,
     TypedPreorder,
     distinctly_typed,
-    type_of_world,
+    typed_preorder_of_model,
 )
 from dtlstar.statespace import (
     Caps,
@@ -505,7 +505,7 @@ def test_criterion_09_satisfiability_soundness():
         model = random_model(rng, 3, ["p", "q"])
         seed_formula = random_formula(rng, ["p", "q"], 2)
         x = rng.choice(model.space.worlds)
-        t = type_of_world(model, [seed_formula], x)
+        t = typed_preorder_of_model(model, [seed_formula]).type_of(x)
         formula = conj(t)
         caps = Caps(oracle_worlds=3, oracle_budget=60_000, state_worlds=2)
         result = satisfy(formula, caps)

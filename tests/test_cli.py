@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import dtlstar
 from dtlstar.cli import main
 from dtlstar.syntax import MAX_HEIGHT, MAX_NESTING, MAX_SIZE
 
@@ -93,6 +97,42 @@ class TestCommands:
         path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "quasimodel-check", str(path))
         assert code == 0 and json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("data, witness", [
+        ({"worlds": ["a"], "order": [], "types": {"a": ["<>p", "<>q", "~p", "~q"]},
+          "step": [["a", "a"]]}, ["a", "<>p"]),
+        ({"worlds": ["a", "b"], "order": [], "types": {"a": ["X p", "X q"], "b": ["~p", "~q"]},
+          "step": [["a", "b"], ["b", "b"]]}, ["a", "b", "X p"]),
+    ], ids=["typing", "step-pair"])
+    def test_quasimodel_check_witness_ignores_hash_seed(self, tmp_path, data, witness):
+        # the failing members sit in one frozenset; the least in sort order is reported
+        path = tmp_path / "qm.json"
+        path.write_text(json.dumps(data))
+        src = str(pathlib.Path(dtlstar.__file__).resolve().parents[1])
+        outs = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-m", "dtlstar.cli", "quasimodel-check",
+                                   str(path)], env=env, capture_output=True, text=True)
+            assert proc.returncode == 1 and proc.stderr == ""
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["witness"] == witness
+
+    def test_simformula_same_type_chain(self, tmp_path):
+        # twelve worlds typed {p} in a chain: refinement of the colours splits
+        # them, so the canonical key of each state tries one arrangement, not 11!
+        worlds = [f"w{i}" for i in range(12)]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"worlds": worlds, "root": "w11",
+                                    "order": [[a, b] for a, b in zip(worlds, worlds[1:])],
+                                    "types": {w: ["p"] for w in worlds}}))
+        src = str(pathlib.Path(dtlstar.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "dtlstar.cli", "simformula", str(path)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["formula"]
 
     def test_enumerate_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-worlds", "1",
@@ -281,6 +321,27 @@ class TestCommands:
         code, out, _ = run(capsys, "check-model", str(path))
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "model JSON missing key 'worlds'"}
+
+    @pytest.mark.parametrize("command", ["check-model", "eval", "check-proof"])
+    @pytest.mark.parametrize("kind, message", [
+        ("directory", "Is a directory"),
+        ("not-utf8", "not UTF-8 text"),
+        ("deep", "JSON nested too deeply"),
+    ], ids=["directory", "not-utf8", "deep"])
+    def test_unreadable_input_exit_2(self, capsys, tmp_path, command, kind, message):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'\xff\xfe{"worlds": []}')
+        else:
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["eval", "--model", str(path), "--formula", "p"] if command == "eval" \
+            else [command, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "/nonexistent.json",

@@ -33,6 +33,12 @@ class TestSensiblePairs:
         v = is_sensible_pair([parse("X p")], [Neg(p)])
         assert not v and "next" in v.reason
 
+    def test_witness_is_least_failing_member(self):
+        v = is_sensible_pair(frozenset([parse("X q"), parse("X p"), parse("G p")]),
+                             frozenset([Neg(p), Neg(q)]))
+        assert v.witness == min([parse("X p"), parse("X q"), parse("G p")],
+                                key=lambda f: f.sort_key())
+
     def test_negated_next_transfers(self):
         assert is_sensible_pair([parse("~X p")], [Neg(p)])
         assert not is_sensible_pair([parse("~X p")], [p])

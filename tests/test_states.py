@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from dtlstar.preorder import Preorder
+from dtlstar.preorder import Preorder, enumerate_preorders
 from dtlstar.semantics import DynModel, enumerate_models, random_model
 from dtlstar.states import (
     State,
@@ -15,6 +16,7 @@ from dtlstar.states import (
     is_weak_type,
     norm,
     phi_types,
+    root_restrictions,
     state_from_json,
     state_of_model_point,
     state_p,
@@ -24,10 +26,11 @@ from dtlstar.states import (
     sub_dia_count,
     substates,
     t_contains,
-    type_of_world,
+    type_key,
     typed_preorder_of_model,
     validate_typing,
 )
+from dtlstar.statespace import Caps, enumerate_phi_states
 from dtlstar.syntax import And, Hence, Neg, Next, Tangle, Var, parse, subformulas, sub_pm, variables
 
 p, q = Var("p"), Var("q")
@@ -58,6 +61,13 @@ class TestWeakTypes:
     def test_phi_type_decides_subformulas(self):
         assert is_phi_type([parse("<>p"), p], [parse("<>p")])
         assert not is_phi_type([parse("<>p")], [parse("<>p")])
+
+    def test_witness_is_least_failing_member(self):
+        least = lambda fs: min(fs, key=lambda f: f.sort_key())
+        members = [p, Neg(p), q, Neg(q), parse("G q")]
+        assert is_weak_type(members).witness == least([p, Neg(p), q, Neg(q)])
+        phi = [parse("X q & <>p")]
+        assert is_phi_type([], phi).witness == least(subformulas(phi))
 
     def test_phi_types_for_variable(self):
         out = phi_types([p])
@@ -136,13 +146,14 @@ class TestTypeOfWorld:
         space = Preorder(["a", "b"], [("b", "a")])
         m = DynModel(space, {"a": "a", "b": "b"}, {"p": ["b"]})
         phi = [parse("<>p")]
-        assert type_of_world(m, phi, "a") == {parse("<>p"), Neg(p)}
-        assert type_of_world(m, phi, "b") == {parse("<>p"), p}
+        tp = typed_preorder_of_model(m, phi)
+        assert tp.type_of("a") == {parse("<>p"), Neg(p)}
+        assert tp.type_of("b") == {parse("<>p"), p}
 
     def test_empty_phi(self):
         space = Preorder(["a"], [])
         m = DynModel(space, {"a": "a"}, {})
-        assert type_of_world(m, [], "a") == frozenset()
+        assert typed_preorder_of_model(m, []).type_of("a") == frozenset()
 
     def test_bridge_always_validates(self):
         # induced typed preorders satisfy the tangle witness laws, exhaustively
@@ -161,8 +172,9 @@ class TestTypeOfWorld:
         phi = [parse("<>{p, X q} & G p")]
         for _ in range(40):
             m = random_model(rng, 4, ["p", "q"])
+            tp = typed_preorder_of_model(m, phi)
             for w in m.space.worlds:
-                t = type_of_world(m, phi, w)
+                t = tp.type_of(w)
                 assert is_weak_type(t)
                 assert is_phi_type(t, phi)
 
@@ -195,6 +207,83 @@ class TestState:
         s = chain_state([p, parse("<>p")], [q])
         again = state_from_json(state_to_json(s))
         assert again == s and state_to_json(again) == state_to_json(s)
+
+
+def reference_key(st):
+    """Least (type keys, down masks, root position) over every permutation of
+    the worlds: the slow twin of the canonical key."""
+    space = st.space
+    n = len(space.worlds)
+    best = None
+    for flat in itertools.permutations(range(n)):
+        pos = {old: new for new, old in enumerate(flat)}
+        downs = [0] * n
+        for old in range(n):
+            downs[pos[old]] = sum(1 << pos[j] for j in range(n) if space.down[old] >> j & 1)
+        cand = (tuple(type_key(st.types[i]) for i in flat), tuple(downs),
+                pos[space.index[st.root]])
+        best = cand if best is None else min(best, cand)
+    return best
+
+
+def relabelled(st):
+    """The same state with its worlds renamed and listed in reverse order."""
+    names = {w: f"r{w}" for w in st.space.worlds}
+    space = Preorder([names[w] for w in reversed(st.space.worlds)],
+                     [(names[a], names[b]) for a, b in st.space.order_pairs()])
+    types = {names[w]: st.type_of(w) for w in st.space.worlds}
+    return State(TypedPreorder(space, types), names[st.root])
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("signature", ["p", "<>p", "X p"])
+    def test_agrees_with_minimum_over_all_permutations(self, signature):
+        phi = [parse(signature)]
+        states, _, _ = enumerate_phi_states(phi, 0, Caps(max_worlds=3))
+        pool = [r for st in states for r in root_restrictions(st)]
+        pool += [relabelled(st) for st in pool]
+        # the norm bound keeps [p] to one world, so add every labelled state
+        # of up to three worlds typed over phi
+        for n in (1, 2, 3):
+            for space in enumerate_preorders(n, up_to_iso=False):
+                for types in itertools.product(phi_types(phi), repeat=n):
+                    for root in space.worlds:
+                        try:
+                            pool.append(State(TypedPreorder(space, types), root))
+                        except StateError:
+                            pass
+        pairs = {(st.canonical_key(), reference_key(st)) for st in pool}
+        # equal keys exactly when equal reference forms: the pairing is a bijection
+        assert len({k for k, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
+        assert len(states) < len(pairs) < len(pool)
+
+    def test_same_type_chain(self):
+        # ten worlds of one type: refinement splits the chain into single worlds,
+        # where the nine below the root could take 9! orders
+        names = [f"w{i}" for i in range(10)]
+        space = Preorder(names, list(zip(names, names[1:])))
+        st = State(TypedPreorder(space, [[p]] * 10), "w9")
+        t0 = time.perf_counter()
+        st.canonical_key()
+        assert time.perf_counter() - t0 < 1.0
+        assert st == relabelled(st)
+        assert st != State(TypedPreorder(space, [[p]] * 9 + [[q]]), "w9")
+
+    def test_same_type_worlds_told_apart_by_neighbours(self):
+        # eight worlds typed {p}, each between the root and a leaf of its own
+        # type: equal types and degrees, split only by the leaves' colours
+        leaf_types = [[Neg(p)] + [Var(v) if i >> k & 1 else Neg(Var(v)) for k, v in enumerate("abc")]
+                      for i in range(8)]
+        names = ["root"] + [f"m{i}" for i in range(8)] + [f"l{i}" for i in range(8)]
+        order = [(f"m{i}", "root") for i in range(8)] + [(f"l{i}", f"m{i}") for i in range(8)]
+        space = Preorder(names, order)
+        st = State(TypedPreorder(space, [[p]] * 9 + leaf_types), "root")
+        t0 = time.perf_counter()
+        st.canonical_key()
+        assert time.perf_counter() - t0 < 1.0
+        assert st == relabelled(st)
+        swapped = leaf_types[:7] + [leaf_types[0]]
+        assert st != State(TypedPreorder(space, [[p]] * 9 + swapped), "root")
 
 
 class TestNorm:
