@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-worlds", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers; the report is jobs-independent")
+                   help="parallel workers, at most the CPU count;"
+                        " the report is jobs-independent")
     common(p)
 
     return ap

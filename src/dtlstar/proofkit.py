@@ -1,32 +1,38 @@
 """Hilbert-style proof objects: axiom schemata, a step checker, and a
 randomized soundness harness.
 
-Schemata (ASCII names used in proof JSON):
+Schemata (ASCII names used in proof JSON), with the instantiation keys
+each takes (G stands for the formulas under the key Gamma):
 
     Taut      any propositional tautology over its modal-atom skeleton
-    K         [](p -> q) -> ([]p -> []q)
-    T         /\\ G -> <>G
-    4         <><>G -> <>G
-    FixDia    <>G -> /\\_{g in G} <>(g & <>G)
-    IndDia    [](p -> /\\_{g in G} <>(p & g)) -> (p -> <>G)
-    NegNext   ~X p <-> X ~p
-    AndNext   X(p & q) <-> (X p & X q)
-    FixHence  G p -> p & X G p
-    IndHence  G(p -> X p) -> (p -> G p)
-    TCont     <>{X g : g in G} -> X <>G
+    K         [](p -> q) -> ([]p -> []q)                      p, q
+    T         /\\ G -> <>G                                     Gamma
+    4         <><>G -> <>G                                    Gamma
+    FixDia    <>G -> /\\_{g in G} <>(g & <>G)                  Gamma
+    IndDia    [](p -> /\\_{g in G} <>(p & g)) -> (p -> <>G)    p, Gamma
+    NegNext   ~X p <-> X ~p                                   p
+    AndNext   X(p & q) <-> (X p & X q)                        p, q
+    FixHence  G p -> p & X G p                                p
+    IndHence  G(p -> X p) -> (p -> G p)                       p
+    TCont     <>{X g : g in G} -> X <>G                       Gamma
+
+Each schema is defined once, in ``_SCHEMATA`` (its keys and its builder),
+and each necessitation rule once, in ``_NECESSITATION``; the checker, the
+random instances, the schema sweep and the soundness harness all read them.
 
 Rules: modus ponens (refs = [implication step, premise step]), substitution
 into any earlier step, and necessitation for box, next, and henceforth.
 Tautology steps are decided by a truth table over the step's maximal
-non-Boolean subterms treated as atoms.
+non-Boolean subterms treated as atoms; a Taut step takes no instantiation.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .semantics import model_to_json, random_model
 from .syntax import (
@@ -53,14 +59,6 @@ class ProofError(ValueError):
     pass
 
 
-AXIOM_NAMES = (
-    "Taut", "K", "T", "4", "FixDia", "IndDia",
-    "NegNext", "AndNext", "FixHence", "IndHence", "TCont",
-)
-
-RULE_NAMES = ("Axiom", "MP", "Subs", "NecBox", "NecNext", "NecHence")
-
-
 def _need(inst: Mapping, key: str, kind: str) -> object:
     if key not in inst:
         raise ProofError(f"instantiation missing {key!r} ({kind})")
@@ -84,47 +82,42 @@ def _need_gamma(inst: Mapping) -> tuple[Formula, ...]:
     return members
 
 
+def _taut(f: Formula) -> Formula:
+    if not is_tautology(f):
+        raise ProofError(f"not a propositional tautology: {to_text(f)}")
+    return f
+
+
+# schema name -> (instantiation keys in the order they are checked, builder
+# taking their values in that order); the name order is AXIOM_NAMES
+_SCHEMATA: dict[str, tuple[tuple[str, ...], Callable[..., Formula]]] = {
+    "Taut": (("formula",), _taut),
+    "K": (("p", "q"), lambda p, q: implies(box(implies(p, q)), implies(box(p), box(q)))),
+    "T": (("Gamma",), lambda g: implies(conj(g), Tangle(g))),
+    "4": (("Gamma",), lambda g: implies(diamond(Tangle(g)), Tangle(g))),
+    "FixDia": (("Gamma",),
+               lambda g: implies(Tangle(g), conj(diamond(And(m, Tangle(g))) for m in g))),
+    "IndDia": (("p", "Gamma"), lambda p, g: implies(
+        box(implies(p, conj(diamond(And(p, m)) for m in g))), implies(p, Tangle(g)))),
+    "NegNext": (("p",), lambda p: iff(Neg(Next(p)), Next(Neg(p)))),
+    "AndNext": (("p", "q"), lambda p, q: iff(Next(And(p, q)), And(Next(p), Next(q)))),
+    "FixHence": (("p",), lambda p: implies(Hence(p), And(p, Next(Hence(p))))),
+    "IndHence": (("p",), lambda p: implies(Hence(implies(p, Next(p))), implies(p, Hence(p)))),
+    "TCont": (("Gamma",), lambda g: implies(Tangle(Next(m) for m in g), Next(Tangle(g)))),
+}
+AXIOM_NAMES = tuple(_SCHEMATA)
+
+# necessitation rule -> the operator it puts in front of the referenced step
+_NECESSITATION = {"NecBox": box, "NecNext": Next, "NecHence": Hence}
+RULE_NAMES = ("Axiom", "MP", "Subs", *_NECESSITATION)
+
+
 def axiom_instance(name: str, inst: Mapping) -> Formula:
     """Build the named schema instance; rejects malformed instantiations."""
-    if name == "Taut":
-        f = _need_formula(inst, "formula")
-        if not is_tautology(f):
-            raise ProofError(f"not a propositional tautology: {to_text(f)}")
-        return f
-    if name == "K":
-        p, q = _need_formula(inst, "p"), _need_formula(inst, "q")
-        return implies(box(implies(p, q)), implies(box(p), box(q)))
-    if name == "T":
-        g = _need_gamma(inst)
-        return implies(conj(g), Tangle(g))
-    if name == "4":
-        g = _need_gamma(inst)
-        return implies(diamond(Tangle(g)), Tangle(g))
-    if name == "FixDia":
-        g = _need_gamma(inst)
-        tg = Tangle(g)
-        return implies(tg, conj(diamond(And(m, tg)) for m in g))
-    if name == "IndDia":
-        p = _need_formula(inst, "p")
-        g = _need_gamma(inst)
-        body = conj(diamond(And(p, m)) for m in g)
-        return implies(box(implies(p, body)), implies(p, Tangle(g)))
-    if name == "NegNext":
-        p = _need_formula(inst, "p")
-        return iff(Neg(Next(p)), Next(Neg(p)))
-    if name == "AndNext":
-        p, q = _need_formula(inst, "p"), _need_formula(inst, "q")
-        return iff(Next(And(p, q)), And(Next(p), Next(q)))
-    if name == "FixHence":
-        p = _need_formula(inst, "p")
-        return implies(Hence(p), And(p, Next(Hence(p))))
-    if name == "IndHence":
-        p = _need_formula(inst, "p")
-        return implies(Hence(implies(p, Next(p))), implies(p, Hence(p)))
-    if name == "TCont":
-        g = _need_gamma(inst)
-        return implies(Tangle(Next(m) for m in g), Next(Tangle(g)))
-    raise ProofError(f"unknown axiom schema {name!r}")
+    if name not in _SCHEMATA:
+        raise ProofError(f"unknown axiom schema {name!r}")
+    keys, build = _SCHEMATA[name]
+    return build(*[_need_gamma(inst) if k == "Gamma" else _need_formula(inst, k) for k in keys])
 
 
 def _boolean_atoms(f: Formula, atoms: list[Formula]) -> None:
@@ -228,11 +221,11 @@ def _check_step(proof: ProofObject, k: int, step: ProofStep) -> Verdict:
             if substitute(base, step.subst) != step.formula:
                 return fail("formula is not the stated substitution instance")
             return OK
-        if step.rule in ("NecBox", "NecNext", "NecHence"):
+        if step.rule in _NECESSITATION:
             if len(step.refs) != 1:
                 return fail("necessitation needs one reference")
             base = proof.steps[step.refs[0] - 1].formula
-            expected = {"NecBox": box, "NecNext": Next, "NecHence": Hence}[step.rule](base)
+            expected = _NECESSITATION[step.rule](base)
             if expected != step.formula:
                 return fail(f"formula is not {step.rule} of the referenced step")
             return OK
@@ -352,19 +345,22 @@ def random_formula(rng: random.Random, vars: Sequence[str], depth: int) -> Formu
 
 
 def random_axiom_instance(
-    rng: random.Random, vars: Sequence[str] = ("p", "q", "r"),
-    depth: int = 4, gamma_max: int = 3,
+    rng: random.Random, depth: int = 4, gamma_max: int = 3,
 ) -> tuple[str, Formula]:
+    """A random schema with its instance over the variables p, q, r: formulas
+    for "p" and "q" when the schema takes "p", and a Gamma when it takes one."""
     name = rng.choice(AXIOM_NAMES)
+    vars = ("p", "q", "r")
     if name == "Taut":
         template = parse(rng.choice(_TAUT_TEMPLATES))
-        sigma = {v: random_formula(rng, vars, depth - 2) for v in ("p", "q", "r")}
+        sigma = {v: random_formula(rng, vars, depth - 2) for v in vars}
         return name, axiom_instance("Taut", {"formula": substitute(template, sigma)})
+    keys = _SCHEMATA[name][0]
     inst: dict = {}
-    if name in ("K", "NegNext", "AndNext", "FixHence", "IndHence", "IndDia"):
+    if "p" in keys:
         inst["p"] = random_formula(rng, vars, depth - 1)
         inst["q"] = random_formula(rng, vars, depth - 1)
-    if name in ("T", "4", "FixDia", "IndDia", "TCont"):
+    if "Gamma" in keys:
         inst["Gamma"] = tuple(
             random_formula(rng, vars, depth - 1)
             for _ in range(rng.randint(1, gamma_max))
@@ -382,7 +378,7 @@ def _harness_trial(seed: int, trial: int, max_worlds: int) -> dict | None:
             "formula": to_text(instance), "model": model_to_json(model),
         }
     # rule-level check: necessitation preserves per-model validity
-    for wrap, rule in ((box, "NecBox"), (Next, "NecNext"), (Hence, "NecHence")):
+    for rule, wrap in _NECESSITATION.items():
         wrapped = wrap(instance)
         if not model.is_valid(wrapped):
             return {
@@ -414,19 +410,21 @@ def soundness_harness(
     of a formula valid on a model must stay valid on that model.  Violations
     ship the countermodel; a clean report is the expected outcome.  Trials
     derive their randomness from (seed, trial index), so the report does not
-    depend on ``jobs``.  ``trials``, ``max_worlds`` and ``jobs`` must be at
-    least 1.
+    depend on ``jobs``, which is capped at the CPU count.  ``trials``,
+    ``max_worlds`` and ``jobs`` must be at least 1.
     """
     for name, value in (("trials", trials), ("max_worlds", max_worlds), ("jobs", jobs)):
         if value < 1:
             raise ProofError(f"{name} must be at least 1 (got {value})")
-    if jobs > 1 and trials > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and trials > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        step = -(-trials // jobs)
+        step = -(-trials // workers)
         chunks = [(seed, lo, min(lo + step, trials), max_worlds)
                   for lo in range(0, trials, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             violations = [v for found in pool.map(_harness_chunk, chunks) for v in found]
     else:
         violations = _harness_chunk((seed, 0, trials, max_worlds))
@@ -440,25 +438,13 @@ def soundness_harness(
     }
 
 
-def schema_sweep_instances(gamma_max: int = 2) -> list[tuple[str, Formula]]:
-    """Every schema instantiated over the variables p, q with small Gamma."""
+def schema_sweep_instances() -> list[tuple[str, Formula]]:
+    """Every schema instantiated over the variables p, q: the keys "p" and
+    "q" range over p and q, "Gamma" over the nonempty subsets of {p, q}, and
+    Taut's formula over the tautology templates with r read as q."""
     p, q = Var("p"), Var("q")
-    gammas = [g for size in range(1, gamma_max + 1)
-              for g in itertools.combinations((p, q), size)]
-    out: list[tuple[str, Formula]] = []
-    for t in _TAUT_TEMPLATES:
-        out.append(("Taut", axiom_instance("Taut", {"formula": parse(t.replace("r", "q"))})))
-    for a, b in ((p, q), (q, p)):
-        out.append(("K", axiom_instance("K", {"p": a, "q": b})))
-        out.append(("NegNext", axiom_instance("NegNext", {"p": a})))
-        out.append(("AndNext", axiom_instance("AndNext", {"p": a, "q": b})))
-        out.append(("FixHence", axiom_instance("FixHence", {"p": a})))
-        out.append(("IndHence", axiom_instance("IndHence", {"p": a})))
-    for g in gammas:
-        out.append(("T", axiom_instance("T", {"Gamma": g})))
-        out.append(("4", axiom_instance("4", {"Gamma": g})))
-        out.append(("FixDia", axiom_instance("FixDia", {"Gamma": g})))
-        out.append(("TCont", axiom_instance("TCont", {"Gamma": g})))
-        for a in (p, q):
-            out.append(("IndDia", axiom_instance("IndDia", {"p": a, "Gamma": g})))
-    return out
+    values = {"formula": [parse(t.replace("r", "q")) for t in _TAUT_TEMPLATES],
+              "p": (p, q), "q": (p, q), "Gamma": ((p,), (q,), (p, q))}
+    return [(name, axiom_instance(name, dict(zip(keys, combo))))
+            for name, (keys, _) in _SCHEMATA.items()
+            for combo in itertools.product(*(values[k] for k in keys))]

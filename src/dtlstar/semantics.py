@@ -217,33 +217,19 @@ def model_to_json(model: DynModel) -> dict:
 EXHAUSTIVE_CAP = 5
 
 
-def enumerate_models(
-    n_max: int,
-    vars: Sequence[str] = (),
-    exhaustive: bool = True,
-    seed: int | None = None,
-) -> Iterator[DynModel]:
-    """Stream finite models over the given variables.
-
-    Exhaustive mode yields every preorder on at most ``n_max`` worlds up to
-    isomorphism, every monotone self-map on it, and every valuation of the
-    variables; ``EXHAUSTIVE_CAP`` guards against accidental blow-ups.  Random
-    mode is an endless reproducible stream (uniform over labeled structures,
-    not isomorphism classes) driven by ``seed``.
-    """
-    if exhaustive:
-        if n_max > EXHAUSTIVE_CAP:
-            raise ModelError(
-                f"exhaustive enumeration capped at {EXHAUSTIVE_CAP} worlds (asked {n_max})")
-        for n in range(1, n_max + 1):
-            for space in enumerate_preorders(n):
-                for fmap in monotone_maps(space):
-                    for val in _all_valuations(space, vars):
-                        yield DynModel(space, fmap, val)
-        return
-    rng = random.Random(seed)
-    while True:
-        yield random_model(rng, n_max, vars)
+def enumerate_models(n_max: int, vars: Sequence[str] = ()) -> Iterator[DynModel]:
+    """Stream every finite model over the given variables: every preorder on
+    at most ``n_max`` worlds up to isomorphism, every monotone self-map on it,
+    and every valuation of the variables; ``EXHAUSTIVE_CAP`` guards against
+    accidental blow-ups."""
+    if n_max > EXHAUSTIVE_CAP:
+        raise ModelError(
+            f"exhaustive enumeration capped at {EXHAUSTIVE_CAP} worlds (asked {n_max})")
+    for n in range(1, n_max + 1):
+        for space in enumerate_preorders(n):
+            for fmap in monotone_maps(space):
+                for val in _all_valuations(space, vars):
+                    yield DynModel(space, fmap, val)
 
 
 def _all_valuations(space: Preorder, vars: Sequence[str]) -> Iterator[dict[str, int]]:

@@ -19,9 +19,12 @@ by (not root, type key), and colours are refined by the multisets of colours
 below and above each world until no class splits.  The key of a state is
 its type keys in colour order together with the least down masks over the
 arrangements that list the worlds by colour, permuting only within a colour
-class.  Colours are invariant, so isomorphic states share their arrangements
-and their least one; the key determines the state (the root is the one world
-of the first colour), so equal keys mean isomorphic states.
+class.  Twins, worlds of one colour whose down and up masks agree outside
+their own two bits, keep their index order: swapping them moves no down
+mask, so a root over k leaves of one type takes one arrangement, not k!.
+Colours are invariant, so isomorphic states share their arrangements and
+their least one; the key determines the state (the root is the one world of
+the first colour), so equal keys mean isomorphic states.
 
 Checks over a set of members report the failing member least in
 ``Formula.sort_key`` order, so witnesses do not depend on set order.
@@ -52,7 +55,7 @@ from .syntax import (
     to_text,
     variables,
 )
-from .util import Verdict, OK, bits, fail, least_failure
+from .util import Verdict, OK, bits, choices, fail, least_failure
 
 TypeSet = frozenset  # of Formula, normalized members
 
@@ -315,24 +318,34 @@ class State:
 def _canonical_state_key(st: State) -> tuple:
     """The labelling of the module docstring."""
     ri = st.space.index[st.root]
+    down, up = st.space.down, st.space.up
     keys = [type_key(t) for t in st.types]
     colour = [(i != ri, k) for i, k in enumerate(keys)]
     # refine until the colours are all distinct or no class splits
     while len(rank := {c: r for r, c in enumerate(sorted(set(colour)))}) < len(colour):
         finer = [(rank[c],
-                  tuple(sorted(rank[colour[j]] for j in bits(st.space.down[i]))),
-                  tuple(sorted(rank[colour[j]] for j in bits(st.space.up[i]))))
+                  tuple(sorted(rank[colour[j]] for j in bits(down[i]))),
+                  tuple(sorted(rank[colour[j]] for j in bits(up[i]))))
                  for i, c in enumerate(colour)]
         if len(set(finer)) == len(rank):
             break
         colour = finer
     order = sorted(range(len(keys)), key=colour.__getitem__)
     groups = [tuple(g) for _, g in itertools.groupby(order, key=colour.__getitem__)]
-    arrangements = (list(itertools.chain(*a))
-                    for a in itertools.product(*map(itertools.permutations, groups)))
+
+    def orders(g: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        # twins (swapping them moves no down mask) are placed in index order
+        if len(g) == 1:
+            return (g,)
+        prev = {j: max((i for i in g if i < j and not (down[i] ^ down[j] | up[i] ^ up[j])
+                        & ~(1 << i | 1 << j)), default=-1) for j in g}
+        return choices(len(g), lambda _, chosen: [
+            j for j in g if j not in chosen and (prev[j] < 0 or prev[j] in chosen)])
+
+    arrangements = (list(itertools.chain(*a)) for a in itertools.product(*map(orders, groups)))
     # an arrangement lists the old indices in their new order; sorting inverts it
     return tuple(keys[i] for i in order), min(
-        permute_down(st.space.down, sorted(range(len(keys)), key=flat.__getitem__))
+        permute_down(down, sorted(range(len(keys)), key=flat.__getitem__))
         for flat in arrangements)
 
 

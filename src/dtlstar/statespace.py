@@ -155,15 +155,6 @@ def is_small_successor(w: State, v: State) -> bool:
     return norm(v)[2] <= norm(w)[2] + sub_dia_count(w)
 
 
-def small_temporal_successor(w: State, v: State) -> Verdict:
-    t = temporal_successor(w, v)
-    if not t:
-        return t
-    if not is_small_successor(w, v):
-        return fail("successor exceeds the small norm bound", (norm(w), norm(v)))
-    return t
-
-
 # ---------------------------------------------------------------------------
 # State enumeration.
 
@@ -652,17 +643,7 @@ class SatReport:
     info: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "formula": self.formula,
-            "witness_model": self.witness_model,
-            "witness_state": self.witness_state,
-            "quasimodel": self.quasimodel,
-            "quasimodel_states": self.quasimodel_states,
-            "lasso": self.lasso,
-            "checks": self.checks,
-            "info": self.info,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _fragment_from_model(

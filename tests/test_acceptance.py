@@ -115,7 +115,7 @@ def test_criterion_03_axiom_soundness():
     harness = soundness_harness(10_000, seed=3003, max_worlds=6)
     assert harness["ok"], harness["violations"][:1]
 
-    sweep = schema_sweep_instances(gamma_max=2)
+    sweep = schema_sweep_instances()
     assert {name for name, _ in sweep} == set(AXIOM_NAMES)
     models = exhaustive_dynamic_models(3, ["p", "q"])
     swept = 0

@@ -134,6 +134,21 @@ class TestCommands:
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["formula"]
 
+    def test_simformula_same_type_leaves(self, tmp_path):
+        # a root over twelve leaves, all typed {p}: the leaves are twins, so
+        # the canonical key places them in one order, not 12!
+        worlds = ["root"] + [f"l{i}" for i in range(12)]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"worlds": worlds, "root": "root",
+                                    "order": [[w, "root"] for w in worlds[1:]],
+                                    "types": {w: ["p"] for w in worlds}}))
+        src = str(pathlib.Path(dtlstar.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "dtlstar.cli", "simformula", str(path)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["formula"]
+
     def test_enumerate_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-worlds", "1",
                            "--vars", "p", "--count-only")

@@ -1,7 +1,11 @@
+import concurrent.futures
 import copy
+import hashlib
 import json
+import os
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -58,6 +62,19 @@ class TestAxiomInstances:
     def test_missing_entry_rejected(self):
         with pytest.raises(ProofError):
             axiom_instance("K", {"p": p})
+
+    @pytest.mark.parametrize("name, inst, message", [
+        ("K", {"p": p}, "instantiation missing 'q' (formula)"),
+        ("IndDia", {"Gamma": (p,)}, "instantiation missing 'p' (formula)"),
+        ("IndDia", {"p": p}, "instantiation missing 'Gamma' (formula set)"),
+        ("Taut", {"p": p}, "instantiation missing 'formula' (formula)"),
+        ("NegNext", {"p": "p"}, "instantiation entry 'p' is not a formula"),
+        ("TCont", {"Gamma": ("p",)}, "Gamma entries must be formulas"),
+    ], ids=["K-q", "IndDia-p-first", "IndDia-Gamma", "Taut", "NegNext-text", "TCont-text"])
+    def test_instantiation_messages(self, name, inst, message):
+        # keys are checked in the order the schema lists them
+        with pytest.raises(ProofError, match=f"^{re.escape(message)}$"):
+            axiom_instance(name, inst)
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ProofError):
@@ -176,6 +193,39 @@ class TestSoundness:
         b = soundness_harness(40, seed=9, jobs=3)
         assert a == b
 
+    def test_workers_capped_at_the_cpu_count(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        report = soundness_harness(40, seed=9, jobs=10_000)
+        assert all(n <= (os.cpu_count() or 1) for n in asked)
+        assert report == soundness_harness(40, seed=9, jobs=1)
+
+    def test_random_instances_pinned(self):
+        # (name, text) of the first 500 draws for seeds 0-4, as drawn before
+        # the schemata were collected into one table
+        digest = hashlib.sha256()
+        for seed in range(5):
+            rng = random.Random(seed)
+            for _ in range(500):
+                name, f = random_axiom_instance(rng)
+                digest.update(f"{name}\t{to_text(f)}\n".encode())
+        assert digest.hexdigest() == (
+            "5238b7d22b81e4d5c9b38b11c251b3e5185937fdebc3ca9c688fea276941abbd")
+
     def test_random_instances_well_formed(self):
         rng = random.Random(5)
         for _ in range(200):
@@ -186,6 +236,22 @@ class TestSoundness:
     def test_schema_sweep_covers_all_names(self):
         names = {name for name, _ in schema_sweep_instances()}
         assert names == set(AXIOM_NAMES)
+
+    def test_schema_sweep_keeps_the_hand_written_instances(self):
+        # the sweep as it was listed by hand, schema by schema
+        gammas = [(p,), (q,), (p, q)]
+        listed = [("Taut", {"formula": parse(t)}) for t in (
+            "p -> p", "p -> (q -> p)", "(p -> q) -> ((q -> q) -> (p -> q))",
+            "p & q -> p", "p | ~p", "~(p & ~p)")]
+        for a, b in ((p, q), (q, p)):
+            listed += [("K", {"p": a, "q": b}), ("NegNext", {"p": a}),
+                       ("AndNext", {"p": a, "q": b}), ("FixHence", {"p": a}),
+                       ("IndHence", {"p": a})]
+        for g in gammas:
+            listed += [(name, {"Gamma": g}) for name in ("T", "4", "FixDia", "TCont")]
+            listed += [("IndDia", {"p": a, "Gamma": g}) for a in (p, q)]
+        swept = set(schema_sweep_instances())
+        assert {(name, axiom_instance(name, inst)) for name, inst in listed} <= swept
 
     def test_necessitation_preserves_per_model_validity(self):
         rng = random.Random(17)

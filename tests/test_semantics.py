@@ -154,11 +154,11 @@ class TestEnumerateModels:
     def test_preorder_count_up_to_two_worlds(self):
         assert sum(1 for n in (1, 2) for _ in enumerate_preorders(n)) == 4
 
-    def test_random_mode_reproducible(self):
-        a = itertools.islice(enumerate_models(4, ["p"], exhaustive=False, seed=42), 10)
-        b = itertools.islice(enumerate_models(4, ["p"], exhaustive=False, seed=42), 10)
-        for x, y in zip(a, b):
-            assert model_to_json(x) == model_to_json(y)
+    def test_random_models_reproducible(self):
+        a, b = random.Random(42), random.Random(42)
+        for _ in range(10):
+            assert model_to_json(random_model(a, 4, ["p"])) == model_to_json(
+                random_model(b, 4, ["p"]))
 
     def test_cap_enforced(self):
         with pytest.raises(ModelError):

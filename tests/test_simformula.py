@@ -14,7 +14,7 @@ from dtlstar.states import (
     state_p,
     substates,
 )
-from dtlstar.statespace import Caps, enumerate_phi_states, small_temporal_successor
+from dtlstar.statespace import Caps, enumerate_phi_states, is_small_successor, temporal_successor
 from dtlstar.syntax import Neg, Next, Tangle, Var, conj, parse, substitute, variables
 from dtlstar.util import bits
 
@@ -145,7 +145,7 @@ class TestCheckPropsub:
         pool = self.models()
         i0 = small_phi_pool(phi, 3)
         st = next(s for s in i0 if len(s) == 1)
-        succs = [v for v in i0 if small_temporal_successor(st, v)]
+        succs = [v for v in i0 if temporal_successor(st, v) and is_small_successor(st, v)]
         rep = check_propsub(st, phi, pool, successor_states=succs, items=(5,))
         assert rep.ok, rep.items[5].countermodel
 
@@ -226,7 +226,8 @@ class TestCountermodelRecords:
 
     def test_item5_wrong_successors(self):
         phi, i0, st = self.next_p()
-        wrong = [v for v in i0 if not small_temporal_successor(st, v)][:2]
+        wrong = [v for v in i0
+                 if not (temporal_successor(st, v) and is_small_successor(st, v))][:2]
         rep = check_propsub(st, phi, self.models(), successor_states=wrong, items=(5,)).items[5]
         assert rep.checked == 1
         assert rep.countermodel == {

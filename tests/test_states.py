@@ -226,10 +226,15 @@ def reference_key(st):
     return best
 
 
-def relabelled(st):
-    """The same state with its worlds renamed and listed in reverse order."""
-    names = {w: f"r{w}" for w in st.space.worlds}
-    space = Preorder([names[w] for w in reversed(st.space.worlds)],
+def relabelled(st, rng=None):
+    """The same state with its worlds renamed so that they sort in reverse
+    order, or in a random order drawn from ``rng`` (a preorder lists its
+    worlds sorted by name, so renaming is what reorders them)."""
+    worlds = list(reversed(st.space.worlds))
+    if rng is not None:
+        rng.shuffle(worlds)
+    names = {w: f"x{k:02}" for k, w in enumerate(worlds)}
+    space = Preorder(list(names.values()),
                      [(names[a], names[b]) for a, b in st.space.order_pairs()])
     types = {names[w]: st.type_of(w) for w in st.space.worlds}
     return State(TypedPreorder(space, types), names[st.root])
@@ -268,6 +273,31 @@ class TestCanonicalKey:
         assert time.perf_counter() - t0 < 1.0
         assert st == relabelled(st)
         assert st != State(TypedPreorder(space, [[p]] * 9 + [[q]]), "w9")
+
+    @pytest.mark.parametrize("order", [
+        # three worlds each over a leaf of its own, and an eight-cycle of four
+        # worlds over four leaves, all of one type: refinement splits neither
+        # and no two worlds are twins, so every order of a colour class counts
+        [(f"l{i}", f"m{i}") for i in range(3)] + [(f"m{i}", "r") for i in range(3)],
+        [(f"l{i}", f"m{(i + d) % 4}") for i in range(4) for d in (0, 1)]
+        + [(f"m{i}", "r") for i in range(4)],
+    ], ids=["matched", "cycle"])
+    def test_same_type_shapes_keyed_alike_under_any_labelling(self, order):
+        worlds = sorted({w for pair in order for w in pair})
+        st = State(TypedPreorder(Preorder(worlds, order), [[p]] * len(worlds)), "r")
+        rng = random.Random(3)
+        for _ in range(20):
+            assert relabelled(st, rng).canonical_key() == st.canonical_key()
+
+    def test_twelve_same_type_leaves(self):
+        names = ["root"] + [f"l{i}" for i in range(12)]
+        space = Preorder(names, [(w, "root") for w in names[1:]])
+        st = State(TypedPreorder(space, [[p]] * 13), "root")
+        t0 = time.perf_counter()
+        st.canonical_key()
+        assert time.perf_counter() - t0 < 1.0
+        assert st == relabelled(st, random.Random(0))
+        assert st != State(TypedPreorder(space, [[p]] * 12 + [[Neg(p)]]), "root")
 
     def test_same_type_worlds_told_apart_by_neighbours(self):
         # eight worlds typed {p}, each between the root and a leaf of its own
